@@ -160,7 +160,10 @@ def cmd_mate_search(args) -> int:
             a, b = (int(x) for x in args.tab.split(","))
         except ValueError as exc:
             raise UsageError(f"bad --tab {args.tab!r}: expected a,b") from exc
-        order = a + b + 3
+        try:
+            order = mate.tab_order(a, b)
+        except ValueError as exc:
+            raise UsageError(f"bad --tab {args.tab!r}: {exc}") from exc
         if args.n is not None and args.n != order:
             raise UsageError(
                 f"--n {args.n} conflicts with --tab {args.tab} "

@@ -6,11 +6,20 @@ lexicographically least one (upper-triangle column-major bit string over
 all vertex orderings, decided by branch-and-bound with early exit, twin
 pruning and automorphism-orbit pruning at the root).  Deleting the last
 vertex of a lex-least labeling leaves a lex-least labeling, so extending
-every canonical graph by one vertex in all 2^k ways and keeping the
-canonical children enumerates every isomorphism class exactly once with
-no seen-set.  Because the lex-least parent of a connected graph may be
-disconnected, generation runs over all graphs and connectivity is
-filtered at yield time.
+every canonical graph by one vertex and keeping the canonical children
+enumerates every isomorphism class exactly once with no seen-set.  Because
+the lex-least parent of a connected graph may be disconnected, generation
+runs over all graphs and connectivity is filtered at yield time.
+
+Work is shared per parent.  The automorphisms the parent's own canonical
+test found (orbit-merging leaves and twin transpositions) stay with it, and
+of each orbit of attachment subsets under them only the subset giving the
+least new column is tested: relabeling the child by an automorphism that
+fixes the new vertex changes nothing but that column, so no other subset
+of the orbit can give a lex-least child.  The parent's columns and
+per-vertex lanes are built once and each child adds one bit per lane.
+Every subset still tested gets the full lex-least search, so the kept
+labelings are exactly those of the unpruned generator.
 
 Cospectrality is decided exactly: the fingerprint is the coefficient
 vector of the distance characteristic polynomial, encoded degree-descending
@@ -25,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cache
 from math import comb, isqrt
 from multiprocessing import get_context
 
@@ -46,35 +56,42 @@ _CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
-# canonical labeling test
+# orderly generation
 
-def _is_canonical(rows: tuple[int, ...]) -> bool:
-    """True iff this labeling's column-major bit string is lex-least over
-    all vertex orderings.
+@cache
+def _subset_tables(k: int) -> tuple[list[int], list[int]]:
+    """Per-k tables over attachment subsets S of a k-vertex parent.
 
-    Per-vertex prefix columns live in 16-bit lanes of one integer, so
-    extending the prefix by a vertex is two int operations; columns stay
-    under 16 bits because generation never exceeds 10 vertices.
+    col[S] is the new vertex's column (bit i of S becomes bit k-1-i; the
+    map is its own inverse), lane[S] puts bit i of S into lane i.
+    """
+    col = [int(f"{s:0{k}b}"[::-1], 2) for s in range(1 << k)]
+    lane = [0] * (1 << k)
+    for s in range(1, 1 << k):
+        low = s & -s
+        lane[s] = lane[s ^ low] | 1 << ((low.bit_length() - 1) << 4)
+    return col, lane
+
+
+def _canonical_search(rows, targets, spread):
+    """Lex-least test of one labeling: None if some vertex ordering gives
+    a smaller column-major bit string, otherwise the automorphisms the
+    search found (orbit-merging leaves and twin transpositions).
+
+    Lane w of packed holds vertex w's column against the ordering chosen
+    so far, in 16 bits; targets[d] is the identity's column d repeated in
+    every lane, spread[v] puts bit v of each row in that row's lane, and
+    free holds bit 15 of the lane of every vertex not yet placed.  Lanes
+    never exceed 10 bits, so one subtraction compares every lane with the
+    target without a borrow crossing lanes.
     """
     n = len(rows)
-    if n <= 2:
-        return True
-    id_cols = [0] * n
-    for j in range(1, n):
-        rj = rows[j]
-        c = 0
-        for i in range(j):
-            c = (c << 1) | (rj >> i & 1)
-        id_cols[j] = c
-    # spread[v]: bit v of rows[w] lands in lane w
-    spread = [
-        sum(((rows[w] >> v) & 1) << (w << 4) for w in range(n))
-        for v in range(n)
-    ]
-    full = (1 << n) - 1
-
-    # orbit union-find fed by automorphisms discovered as full-length ties
+    lo = ((1 << (n << 4)) - 1) // 0xFFFF
+    hi = lo << 15
     uf = list(range(n))
+    order = [0] * n
+    gens = []
+    twins = set()
 
     def find(x):
         while uf[x] != x:
@@ -82,63 +99,144 @@ def _is_canonical(rows: tuple[int, ...]) -> bool:
             x = uf[x]
         return x
 
-    order = [0] * n
-
-    def dfs(depth, used, packed):
+    def dfs(depth, free, packed):
         if depth == n:
+            merged = False
             for pos in range(n):
                 a, b = find(pos), find(order[pos])
                 if a != b:
                     uf[a] = b
+                    merged = True
+            if merged:
+                gens.append(tuple(order))
             return True
-        target = id_cols[depth]
-        ties = []
-        rem = full & ~used
-        while rem:
-            v = (rem & -rem).bit_length() - 1
-            rem &= rem - 1
-            c = (packed >> (v << 4)) & 0xFFFF
-            if c < target:
-                # a strictly smaller string exists under the equal prefix
-                return False
-            if c == target:
-                ties.append(v)
-        tried: list[int] = []
-        for v in ties:
-            if depth == 0 and any(find(v) == find(u) for u in tried):
-                continue
-            twin = False
-            for u in tried:
-                mask = ~(1 << u | 1 << v)
-                if rows[u] & mask == rows[v] & mask:
-                    twin = True
-                    break
-            if twin:
-                continue
-            tried.append(v)
+        t = targets[depth]
+        if ((packed | hi) - t) & free != free:
+            # a free lane is below the target: a strictly smaller string
+            # exists under the equal prefix
+            return False
+        ties = free & ~(((packed ^ t) | hi) - lo)
+        if not ties & (ties - 1):
+            if not ties:
+                return True
+            v = (ties.bit_length() >> 4) - 1
             order[depth] = v
-            if not dfs(depth + 1, used | 1 << v, (packed << 1) | spread[v]):
-                return False
+            return dfs(depth + 1, free ^ ties, (packed << 1) | spread[v])
+        tried: list[int] = []
+        while ties:
+            bit = ties & -ties
+            ties ^= bit
+            v = (bit.bit_length() >> 4) - 1
+            if depth == 0:
+                root = find(v)
+                if any(find(u) == root for u in tried):
+                    continue
+            for u in tried:
+                if (rows[u] ^ rows[v]) & ~(1 << u | 1 << v) == 0:
+                    twins.add((u, v))
+                    break
+            else:
+                tried.append(v)
+                order[depth] = v
+                if not dfs(depth + 1, free ^ bit, (packed << 1) | spread[v]):
+                    return False
         return True
 
-    return dfs(0, 0, 0)
+    if not dfs(0, hi, 0):
+        return None
+    for u, v in sorted(twins):
+        perm = list(range(n))
+        perm[u], perm[v] = v, u
+        gens.append(tuple(perm))
+    return gens
 
 
-def _children(rows: tuple[int, ...]):
-    """All one-vertex extensions (every attachment subset, empty included)."""
+def _attachment_reps(k: int, gens, col) -> list[int] | range:
+    """Attachment subsets whose new column is least in their orbit under
+    the group the automorphisms gens generate, ascending.
+
+    Relabeling a child P+S by an automorphism of P that fixes the new
+    vertex keeps every prefix column and turns the last one into
+    col(sigma(S)), so only the orbit's least column can be lex-least.
+    """
+    size = 1 << k
+    if not gens:
+        return range(size)
+    images = []
+    for g in gens:
+        img = [0] * size
+        for s in range(1, size):
+            low = s & -s
+            img[s] = img[s ^ low] | 1 << g[low.bit_length() - 1]
+        images.append(img)
+    seen = bytearray(size)
+    reps = []
+    for c in range(size):
+        s = col[c]
+        if seen[s]:
+            continue
+        seen[s] = 1
+        reps.append(s)
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for img in images:
+                y = img[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+    reps.sort()
+    return reps
+
+
+def _canonical_children(rows: tuple[int, ...], gens):
+    """The canonical one-vertex extensions of a canonical labeling, each
+    with the automorphisms its test found, in attachment-subset order.
+
+    gens are automorphisms of the parent; passing none tests every
+    subset.  The parent's columns and lanes are built once; a child adds
+    one bit to each lane and takes the new vertex's lane from a table.
+    """
     k = len(rows)
-    for subset in range(1 << k):
-        yield tuple(
-            r | ((subset >> i & 1) << k) for i, r in enumerate(rows)
-        ) + (subset,)
+    col, lane = _subset_tables(k)
+    lo = ((1 << ((k + 1) << 4)) - 1) // 0xFFFF
+    targets = []
+    for j in range(k):
+        c = 0
+        for i in range(j):
+            c = (c << 1) | (rows[j] >> i & 1)
+        targets.append(c * lo)
+    spread = [
+        sum(((rows[w] >> v) & 1) << (w << 4) for w in range(k))
+        for v in range(k)
+    ]
+    top = k << 4
+    for s in _attachment_reps(k, gens, col):
+        child = tuple(
+            r | ((s >> i & 1) << k) for i, r in enumerate(rows)) + (s,)
+        lanes = [sp | ((s >> v & 1) << top) for v, sp in enumerate(spread)]
+        lanes.append(lane[s])
+        found = _canonical_search(child, targets + [col[s] * lo], lanes)
+        if found is not None:
+            yield child, found
 
 
-def _canonical_level(n: int) -> list[tuple[int, ...]]:
-    """All canonical labeled graphs on exactly n vertices."""
-    level = [(0,)]
+def _canonical_level(n: int) -> list[tuple[tuple[int, ...], list]]:
+    """All canonical labeled graphs on exactly n vertices, each with the
+    automorphisms its canonical test found."""
+    level = [((0,), [])]
     for _ in range(2, n + 1):
-        level = [c for p in level for c in _children(p) if _is_canonical(c)]
+        level = [c for rows, gens in level
+                 for c in _canonical_children(rows, gens)]
     return level
+
+
+def _connected_children(parents, n: int):
+    """Connected canonical children of (rows, automorphisms) parents."""
+    for rows, gens in parents:
+        for child, _ in _canonical_children(rows, gens):
+            if _bits_connected(child):
+                yield Graph(n, child)
 
 
 def enumerate_connected(n: int):
@@ -151,10 +249,7 @@ def enumerate_connected(n: int):
     if n == 1:
         yield Graph(1, (0,))
         return
-    for parent in _canonical_level(n - 1):
-        for child in _children(parent):
-            if _is_canonical(child) and _bits_connected(child):
-                yield Graph(n, child)
+    yield from _connected_children(_canonical_level(n - 1), n)
 
 
 def _bits_connected(rows) -> bool:
@@ -269,24 +364,29 @@ class CospectralClasses:
     classes: dict[bytes, tuple[str, ...]]
     total: int
 
+    def _by_charpoly(self) -> list[tuple[str, bytes, tuple[str, ...]]]:
+        """(charpoly text, fingerprint, members) per class, ordered by the
+        text, which is rendered once per class."""
+        rows = [(fingerprint_text(fp), fp, members)
+                for fp, members in self.classes.items()]
+        rows.sort(key=lambda row: row[0])
+        return rows
+
     def to_json_dict(self) -> dict:
-        items = sorted(self.classes.items(),
-                       key=lambda kv: fingerprint_text(kv[0]))
         return {
             "schema": 1,
             "order": self.order,
             "total_graphs": self.total,
             "class_count": len(self.classes),
             "classes": [
-                {"charpoly": fingerprint_text(fp), "members": list(members)}
-                for fp, members in items
+                {"charpoly": text, "members": list(members)}
+                for text, _, members in self._by_charpoly()
             ],
         }
 
     def to_csv(self) -> str:
         lines = ["fingerprint,size"]
-        for fp, members in sorted(self.classes.items(),
-                                  key=lambda kv: fingerprint_text(kv[0])):
+        for _, fp, members in self._by_charpoly():
             digest = hashlib.sha256(fp).hexdigest()[:16]
             lines.append(f"{digest},{len(members)}")
         return "\n".join(lines) + "\n"
@@ -351,11 +451,7 @@ def cospectral_classes(stream, jobs: int = 1) -> CospectralClasses:
 
 def _builtin_worker(args) -> tuple[int, dict]:
     parents, n = args
-    graphs = []
-    for parent in parents:
-        for child in _children(parent):
-            if _is_canonical(child) and _bits_connected(child):
-                graphs.append(Graph(n, child))
+    graphs = list(_connected_children(parents, n))
     part: dict[bytes, list[str]] = {}
     count = 0
     for i in range(0, len(graphs), _CHUNK):
@@ -408,18 +504,28 @@ def ingest_graph6(path, on_error=None):
 # ---------------------------------------------------------------------------
 # determined-by-spectrum verdict
 
+def tab_order(a: int, b: int) -> int:
+    """Order of T(a,b), checking that the pair is one the determined-by-
+    spectrum sweep accepts."""
+    if a < 1 or b < 1:
+        raise ValueError("the determined-by-spectrum sweep needs a, b >= 1")
+    return a + b + 3
+
+
 def ds_verdict(a: int, b: int, source: str | None = None, jobs: int = 1,
                classes: CospectralClasses | None = None) -> VerificationResult:
     """Exhaustive check that no non-isomorphic connected graph of order
-    a+b+3 shares T(a,b)'s exact distance charpoly."""
-    if a < 1 or b < 1:
-        raise ValueError("the determined-by-spectrum sweep needs a, b >= 1")
-    n = a + b + 3
+    a+b+3 shares T(a,b)'s exact distance charpoly.
+
+    Malformed lines of a graph6 source are skipped and listed in
+    details["input_diagnostics"].
+    """
+    n = tab_order(a, b)
+    errors: list[str] = []
     if classes is None:
         if source is None:
             classes = cospectral_classes_builtin(n, jobs=jobs)
         else:
-            errors: list[str] = []
             classes = cospectral_classes(
                 ingest_graph6(source,
                               on_error=lambda ln, msg: errors.append(
@@ -447,6 +553,8 @@ def ds_verdict(a: int, b: int, source: str | None = None, jobs: int = 1,
         "class_size": len(members),
         "charpoly": fingerprint_text(fp),
     }
+    if errors:
+        details["input_diagnostics"] = errors
     details["witnesses"] = witnesses
     return VerificationResult(f"ds:T({a},{b})",
                               "fail" if witnesses else "pass", details)

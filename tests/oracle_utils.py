@@ -5,7 +5,7 @@ permutation backtracking isomorphism test.  Deliberately shares no code
 with the canonical-augmentation generator it cross-checks.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from specgraph.graphs import Graph
 
@@ -64,10 +64,12 @@ def bf_isomorphic(r1, r2, n):
     return place(0)
 
 
-def brute_force_connected_count(n):
+def bf_class_reps(n, connected=True):
+    """One labeled graph (bit rows) per isomorphism class on n vertices,
+    only the connected classes unless connected is False."""
     pairs = list(combinations(range(n), 2))
     buckets = {}
-    count = 0
+    reps = []
     for bits in range(1 << len(pairs)):
         rows = [0] * n
         b = bits
@@ -79,7 +81,7 @@ def brute_force_connected_count(n):
                 rows[j] |= 1 << i
             b >>= 1
             idx += 1
-        if not bf_connected(rows, n):
+        if connected and not bf_connected(rows, n):
             continue
         key = bf_invariant(rows, n)
         rows_t = tuple(rows)
@@ -88,8 +90,27 @@ def brute_force_connected_count(n):
                 break
         else:
             buckets.setdefault(key, []).append(rows_t)
-            count += 1
-    return count
+            reps.append(rows_t)
+    return reps
+
+
+def brute_force_connected_count(n):
+    return len(bf_class_reps(n))
+
+
+def bf_lex_least(rows, n):
+    """The relabeling of rows whose upper-triangle column-major bit string
+    (column j = adjacency of vertex j to vertices 0..j-1, read in order)
+    is least over all n! vertex orderings."""
+    best = None
+    for perm in permutations(range(n)):
+        key = [rows[perm[j]] >> perm[i] & 1
+               for j in range(1, n) for i in range(j)]
+        if best is None or key < best[0]:
+            best = (key, perm)
+    perm = best[1]
+    return tuple(sum((rows[perm[i]] >> perm[j] & 1) << j for j in range(n))
+                 for i in range(n))
 
 
 def random_connected(rng, n, p=0.45):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from specgraph import mate
 from specgraph.cli import main, parse_graph_spec
 from specgraph.graphs import to_graph6
 from specgraph.mate import enumerate_connected
@@ -191,6 +192,16 @@ class TestMateSearch:
                                "--input", str(path))
         assert code == 2
         assert "order" in err
+
+    def test_bad_tab_rejected_before_generation(self, capsys, monkeypatch):
+        def no_generation(*args, **kwargs):
+            raise AssertionError("class table built for a rejected --tab")
+
+        monkeypatch.setattr(mate, "cospectral_classes_builtin",
+                            no_generation)
+        code, _, err = run_cli(capsys, "mate-search", "--tab", "0,6")
+        assert code == 2
+        assert "a, b >= 1" in err
 
     def test_missing_selector_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "mate-search")

@@ -31,11 +31,16 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
 from oracle_utils import (
+    bf_class_reps,
     bf_connected as _bf_connected,
     bf_invariant as _bf_invariant,
     bf_isomorphic as _bf_isomorphic,
+    bf_lex_least,
     brute_force_connected_count,
 )
+
+# all graphs on n vertices up to isomorphism (OEIS A000088)
+GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 
 def random_connected(rng, n, p=0.45):
@@ -78,6 +83,44 @@ class TestEnumeration:
             next(enumerate_connected(10))
         with pytest.raises(ValueError):
             next(enumerate_connected(0))
+
+
+class TestOrderlyGenerator:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_level_counts(self, n):
+        assert len(mate._canonical_level(n)) == GRAPH_COUNTS[n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_kept_labelings_are_lex_least(self, n):
+        kept = {rows for rows, _ in mate._canonical_level(n)}
+        oracle = {bf_lex_least(rows, n)
+                  for rows in bf_class_reps(n, connected=False)}
+        assert kept == oracle
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_pruning_keeps_the_unpruned_children(self, n):
+        skipped = 0
+        for rows, gens in mate._canonical_level(n - 1):
+            k = len(rows)
+            unpruned = [c for c, _ in mate._canonical_children(rows, [])]
+            pruned = [c for c, _ in mate._canonical_children(rows, gens)]
+            assert pruned == unpruned
+            reps = set(mate._attachment_reps(
+                k, gens, mate._subset_tables(k)[0]))
+            for s in set(range(1 << k)) - reps:
+                child = tuple(r | (s >> i & 1) << k
+                              for i, r in enumerate(rows)) + (s,)
+                assert child not in unpruned
+                skipped += 1
+        assert skipped or n <= 3
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_kept_automorphisms_are_automorphisms(self, n):
+        for rows, gens in mate._canonical_level(n):
+            for g in gens:
+                assert sorted(g) == list(range(n))
+                assert all((rows[g[i]] >> g[j] & 1) == (rows[i] >> j & 1)
+                           for i in range(n) for j in range(n))
 
 
 class TestEnumerationSpotCheckN8:
@@ -294,6 +337,16 @@ class TestDsVerdict:
         assert not r.ok
         assert r.details["witnesses"][0]["class_size"] == 2
 
+    def test_external_source_keeps_parse_errors(self, tmp_path):
+        path = tmp_path / "n5.g6"
+        lines = [to_graph6(g) for g in enumerate_connected(5)]
+        path.write_text("\n".join(lines[:2] + ["???bad"] + lines[2:]) + "\n")
+        r = ds_verdict(1, 1, source=str(path))
+        assert r.ok
+        assert r.details["total_graphs"] == 21
+        (diagnostic,) = r.details["input_diagnostics"]
+        assert diagnostic.startswith("line 3:")
+
     def test_external_source(self, tmp_path):
         path = tmp_path / "n5.g6"
         path.write_text("\n".join(
@@ -301,6 +354,7 @@ class TestDsVerdict:
         r = ds_verdict(1, 1, source=str(path))
         assert r.ok
         assert r.details["total_graphs"] == 21
+        assert "input_diagnostics" not in r.details
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
