@@ -7,15 +7,17 @@ Two polynomial types, both over arbitrary-precision integers:
              from exponent vectors to nonzero integer coefficients
 
 plus the exact kernels built on them: Faddeev-LeVerrier characteristic
-polynomials of integer matrices, Bareiss fraction-free determinants of
-polynomial matrices, exact division, integer root multiplicities and exact
-sign evaluation at rationals.  No floats anywhere in this module.
+polynomials of stacks of integer matrices (in int64 where the caller has
+ruled out overflow, in Python ints otherwise), Bareiss fraction-free
+determinants of polynomial matrices, exact division, integer root
+multiplicities and exact sign evaluation at rationals.  No floats anywhere in this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+
+import numpy as np
 
 VARS = ("L", "a'", "b'", "c'", "c")
 _VAR_INDEX = {name: i for i, name in enumerate(VARS)}
@@ -365,51 +367,50 @@ class MPoly:
 L = MPoly.var("L")
 
 
-def poly_div_exact(num: MPoly, den: MPoly) -> MPoly:
-    """num / den when the division is exact; ExactDivisionError otherwise.
-
-    A failed division is a meaningful result for the divisibility checks,
-    not a crash, so callers are expected to catch it.
-    """
-    return num.divexact(den)
-
-
 # ---------------------------------------------------------------------------
-# exact characteristic polynomial (Faddeev-LeVerrier over plain ints)
+# exact characteristic polynomials (one batched Faddeev-LeVerrier, in int64
+# machine words or in Python ints)
 
-def _matmul(A, B):
-    Bt = list(zip(*B))
-    return [[sum(map(mul, row, col)) for col in Bt] for row in A]
+def charpoly_rows(stack, dtype=np.int64) -> np.ndarray:
+    """det(M - L*I) coefficients, ascending, one row per matrix of a stack
+    of equal-size square integer matrices, in the given dtype.
+
+    Faddeev-LeVerrier recurrence on the whole stack: int64 runs in machine
+    words and is exact only where the caller has ruled out overflow, object
+    keeps Python ints and is always exact.  Every interior division by k is
+    exact for integer matrices, so a remainder raises ArithmeticError on
+    either dtype.  Leading term is (-1)^n L^n.
+    """
+    A = np.asarray(stack, dtype=dtype)
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise ValueError("expected a stack of square matrices")
+    count, n = A.shape[0], A.shape[1]
+    diag = np.arange(n)
+    coeffs = np.zeros((count, n + 1), dtype=dtype)  # det(L*I - M), ascending
+    coeffs[:, n] = 1
+    M = A.copy()
+    coeffs[:, n - 1] = -np.trace(M, axis1=1, axis2=2)
+    for k in range(2, n + 1):
+        M[:, diag, diag] += coeffs[:, n - k + 1, None]
+        M = A @ M
+        tr = -np.trace(M, axis1=1, axis2=2)
+        q = tr // k
+        if (q * k != tr).any():
+            raise ArithmeticError("interior division not exact; bad input?")
+        coeffs[:, n - k] = q
+    if n % 2:
+        coeffs = -coeffs
+    return coeffs
 
 
 def charpoly_exact(matrix) -> IntPoly:
-    """det(M - L*I) for a square integer matrix, exactly.
-
-    Faddeev-LeVerrier recurrence; every interior division by k is exact for
-    integer matrices.  Leading term is (-1)^n L^n.
-    """
+    """det(M - L*I) for a square integer matrix, exactly: a stack of one
+    through charpoly_rows in Python ints."""
     A = [[int(x) for x in row] for row in matrix]
     n = len(A)
     if n == 0 or any(len(row) != n for row in A):
         raise ValueError("matrix must be square and nonempty")
-    coeffs = [0] * (n + 1)  # det(L*I - M) = L^n + c[n-1] L^{n-1} + ...
-    coeffs[n] = 1
-    Mk = [row[:] for row in A]
-    coeffs[n - 1] = -sum(Mk[i][i] for i in range(n))
-    for k in range(2, n + 1):
-        shift = coeffs[n - k + 1]
-        B = [row[:] for row in Mk]
-        for i in range(n):
-            B[i][i] += shift
-        Mk = _matmul(A, B)
-        tr = sum(Mk[i][i] for i in range(n))
-        q, r = divmod(-tr, k)
-        if r:
-            raise ArithmeticError("interior division not exact; bad input?")
-        coeffs[n - k] = q
-    if n % 2:
-        coeffs = [-c for c in coeffs]
-    return IntPoly(coeffs)
+    return IntPoly(charpoly_rows([A], dtype=object)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,17 @@ Cospectrality is decided exactly: the fingerprint is the coefficient
 vector of the distance characteristic polynomial, encoded degree-descending
 as length-prefixed two's-complement bytes.  Equal fingerprints therefore
 mean identical exact charpolys; no float ever touches a classing decision.
-Fingerprinting uses a batched int64 Faddeev-LeVerrier fast path whenever a
-rigorously computed magnitude bound rules out overflow, and falls back to
-arbitrary-precision arithmetic otherwise.
+Fingerprinting runs one batched int64 Faddeev-LeVerrier over every matrix
+whose largest entry a rigorously computed magnitude bound admits, and falls
+back to arbitrary-precision arithmetic for each other matrix on its own, so
+one large-diameter graph does not slow down the rest of its chunk.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
 from math import comb, isqrt
@@ -40,7 +43,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .exactpoly import IntPoly, charpoly_exact
+from .exactpoly import IntPoly, charpoly_exact, charpoly_rows
 from .graphs import (
     Graph,
     distance_matrix,
@@ -297,6 +300,7 @@ def fingerprint_text(fp: bytes) -> str:
     return IntPoly(tuple(reversed(desc))).text()
 
 
+@cache
 def _int64_safe(n: int, max_entry: int) -> bool:
     """Rigorous overflow bound for the int64 Faddeev-LeVerrier path.
 
@@ -315,38 +319,21 @@ def _int64_safe(n: int, max_entry: int) -> bool:
     return True
 
 
-def _charpoly_rows_int64(dists: list) -> np.ndarray:
-    """Batched det(M - L*I) coefficients (ascending) for equal-size integer
-    matrices, int64 throughout."""
-    D = np.array(dists, dtype=np.int64)
-    count, n = D.shape[0], D.shape[1]
-    coeffs = np.zeros((count, n + 1), dtype=np.int64)
-    coeffs[:, n] = 1
-    eye = np.eye(n, dtype=np.int64)
-    Mk = D.copy()
-    coeffs[:, n - 1] = -np.trace(Mk, axis1=1, axis2=2)
-    for k in range(2, n + 1):
-        Mk = D @ (Mk + coeffs[:, n - k + 1, None, None] * eye)
-        tr = np.trace(Mk, axis1=1, axis2=2)
-        q, r = np.divmod(-tr, k)
-        if r.any():
-            raise ArithmeticError("inexact interior division in batched FL")
-        coeffs[:, n - k] = q
-    if n % 2:
-        coeffs = -coeffs
-    return coeffs
-
-
 def _fingerprints(dists: list) -> list[bytes]:
+    """Fingerprints of equal-size distance matrices, in input order.
+
+    The matrices the int64 bound admits, each by its own largest entry, go
+    through one int64 batch; every other one goes through charpoly_exact.
+    """
     if not dists:
         return []
-    n = len(dists[0])
-    m = max(max(row) for d in dists for row in d)
-    if _int64_safe(n, m):
-        batch = _charpoly_rows_int64(dists)
-        return [_encode_coeffs(row[::-1]) for row in batch]
-    return [_encode_coeffs(tuple(reversed(charpoly_exact(d).coeffs)))
-            for d in dists]
+    stack = np.array(dists, dtype=np.int64)
+    n = stack.shape[1]
+    safe = [_int64_safe(n, m) for m in stack.max(axis=(1, 2)).tolist()]
+    rows = iter(charpoly_rows(stack if all(safe) else stack[safe]).tolist())
+    return [_encode_coeffs(next(rows)[::-1]) if ok
+            else _encode_coeffs(charpoly_exact(d).coeffs[::-1])
+            for d, ok in zip(dists, safe)]
 
 
 def fingerprint(g: Graph) -> bytes:
@@ -411,6 +398,29 @@ def _class_chunk(graphs: list[Graph]) -> dict:
     return part
 
 
+def _pool_size(jobs: int) -> int:
+    """Worker count for jobs: at least one, at most one per CPU."""
+    return max(1, min(jobs, os.cpu_count() or 1))
+
+
+def _read_chunks(stream) -> list[list[Graph]]:
+    """The stream's graphs in chunks, checked to share one order."""
+    chunks: list[list[Graph]] = []
+    order = None
+    for g in stream:
+        if order is None:
+            order = g.n
+        elif g.n != order:
+            raise ValueError(
+                f"mixed orders in stream: {g.n} after {order}")
+        if not chunks or len(chunks[-1]) >= _CHUNK:
+            chunks.append([])
+        chunks[-1].append(g)
+    if order is None:
+        raise ValueError("empty graph stream")
+    return chunks
+
+
 def cospectral_classes(stream, jobs: int = 1) -> CospectralClasses:
     """Group connected same-order graphs by exact distance charpoly.
 
@@ -418,35 +428,19 @@ def cospectral_classes(stream, jobs: int = 1) -> CospectralClasses:
     order-independent and the output is sorted, so results are bitwise
     identical for any chunking and any worker count.
     """
+    jobs = _pool_size(jobs)
     acc: dict[bytes, list[str]] = {}
-    total = 0
-    order = None
-    chunk: list[Graph] = []
-    pending: list[list[Graph]] = []
-    for g in stream:
-        if order is None:
-            order = g.n
-        elif g.n != order:
-            raise ValueError(
-                f"mixed orders in stream: {g.n} after {order}")
-        chunk.append(g)
-        total += 1
-        if len(chunk) >= _CHUNK:
-            pending.append(chunk)
-            chunk = []
-    if chunk:
-        pending.append(chunk)
-    if order is None:
-        raise ValueError("empty graph stream")
-
-    if jobs > 1 and len(pending) > 1:
-        with get_context("fork").Pool(jobs) as pool:
-            for part in pool.imap_unordered(_class_chunk, pending):
-                _merge(acc, part)
-    else:
-        for chunk in pending:
-            _merge(acc, _class_chunk(chunk))
-    return _finish(order, acc, total)
+    # fork before reading the stream, so that no worker starts out holding it
+    with (get_context("fork").Pool(jobs) if jobs > 1
+          else nullcontext()) as pool:
+        chunks = _read_chunks(stream)
+        if pool is not None and len(chunks) > 1:
+            parts = pool.imap_unordered(_class_chunk, chunks)
+        else:
+            parts = map(_class_chunk, chunks)
+        for part in parts:
+            _merge(acc, part)
+    return _finish(chunks[0][0].n, acc, sum(map(len, chunks)))
 
 
 def _builtin_worker(args) -> tuple[int, dict]:
@@ -466,6 +460,7 @@ def cospectral_classes_builtin(n: int, jobs: int = 1) -> CospectralClasses:
     if not 1 <= n <= BUILTIN_MAX_ORDER:
         raise ValueError(
             f"built-in generation covers 1..{BUILTIN_MAX_ORDER} vertices")
+    jobs = _pool_size(jobs)
     if jobs <= 1 or n <= 3:
         return cospectral_classes(enumerate_connected(n), jobs=1)
     parents = _canonical_level(n - 1)

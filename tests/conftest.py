@@ -1,0 +1,38 @@
+"""Shared fixtures."""
+
+from types import SimpleNamespace
+
+import pytest
+
+from specgraph import mate
+
+
+@pytest.fixture
+def fake_pools(monkeypatch):
+    """fake_pools(cpus) makes mate see cpus CPUs and run every pool's tasks
+    in this process; it returns the [size, exception type at exit] of each
+    pool opened so far."""
+    pools = []
+
+    class Pool:
+        def __init__(self, size):
+            self.record = [size, None]
+            pools.append(self.record)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, exc_type, exc, tb):
+            self.record[1] = exc_type
+            return False
+
+        def imap_unordered(self, func, tasks):
+            return map(func, tasks)
+
+    def install(cpus):
+        monkeypatch.setattr(mate, "get_context",
+                            lambda method: SimpleNamespace(Pool=Pool))
+        monkeypatch.setattr(mate.os, "cpu_count", lambda: cpus)
+        return pools
+
+    return install

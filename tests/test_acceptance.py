@@ -26,7 +26,6 @@ from specgraph.exactpoly import (
     MPoly,
     bareiss_det,
     charpoly_exact,
-    poly_div_exact,
     root_multiplicity,
 )
 from specgraph.forms import (
@@ -151,11 +150,11 @@ def test_criterion_6_hat_identities():
         for k in range(1, 6):
             assert bareiss_det(hat_matrix(k)) == appendix_p(k), k
         assert appendix_p(1).substitute("L", -2) == 28 * ap * bp * cp
-        assert poly_div_exact(appendix_p(1).substitute("c'", 0),
-                              neg) == appendix_q(1)
+        assert appendix_p(1).substitute("c'", 0).divexact(
+            neg) == appendix_q(1)
         for k in range(2, 6):
-            assert poly_div_exact(appendix_p(k),
-                                  neg ** (k - 1)) == appendix_q(k), k
+            assert appendix_p(k).divexact(
+                neg ** (k - 1)) == appendix_q(k), k
         for k in range(1, 6):
             equation = (appendix_q(k).coeff_of("L", 0)
                         - (16 + 8 * (ap + bp + (k - 1))))
@@ -227,7 +226,7 @@ def test_criterion_10_mutation_sensitivity():
         for k in range(1, 6):
             det = bareiss_det(hat_matrix(k))
             src = det.substitute("c'", 0) if k == 1 else det
-            quot = poly_div_exact(src, neg ** max(1, k - 1))
+            quot = src.divexact(neg ** max(1, k - 1))
             for exp in forms.appendix_p(k).terms:
                 mutant = forms.appendix_p(k) + MPoly({exp: 1})
                 assert mutant != det, (k, exp)

@@ -156,6 +156,22 @@ class TestMateSearch:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_jobs_and_env_clamped_to_cpu_count(self, capsys, monkeypatch,
+                                               tmp_path, fake_pools):
+        pools = fake_pools(2)
+        monkeypatch.setattr(mate, "_CHUNK", 4)
+        path = tmp_path / "n5.g6"
+        path.write_text("\n".join(to_graph6(g)
+                                  for g in enumerate_connected(5)) + "\n")
+        code, _, _ = run_cli(capsys, "mate-search", "--n", "5",
+                             "--jobs", "1000000")
+        assert code == 0
+        monkeypatch.setenv("SPECGRAPH_JOBS", "1000000")
+        code, _, _ = run_cli(capsys, "mate-search", "--n", "5",
+                             "--input", str(path))
+        assert code == 0
+        assert pools == [[2, None], [2, None]]
+
     def test_csv_summary(self, capsys):
         code, out, _ = run_cli(capsys, "mate-search", "--n", "5",
                                "--format", "csv")

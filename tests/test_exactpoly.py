@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from specgraph.exactpoly import (
@@ -11,7 +12,7 @@ from specgraph.exactpoly import (
     MPoly,
     bareiss_det,
     charpoly_exact,
-    poly_div_exact,
+    charpoly_rows,
     root_multiplicity,
     sign_at_rational,
 )
@@ -166,6 +167,46 @@ class TestCharpoly:
             charpoly_exact([[1, 2]])
 
 
+class TestCharpolyRows:
+    def test_dtypes_agree_with_charpoly_exact(self):
+        rng = random.Random(13)
+        for n in range(1, 7):
+            stack = [[[rng.randint(-5, 5) for _ in range(n)]
+                      for _ in range(n)] for _ in range(8)]
+            fast = charpoly_rows(stack).tolist()
+            exact = charpoly_rows(stack, dtype=object).tolist()
+            assert fast == exact
+            assert [tuple(row) for row in exact] == \
+                [charpoly_exact(M).coeffs for M in stack]
+
+    def test_rows_keep_dtype(self):
+        M = [[[0, 2], [2, 0]]]
+        assert charpoly_rows(M).dtype == np.int64
+        # past int64: Python ints all the way through
+        row = charpoly_rows([[[2 ** 70, 1], [1, 0]]], dtype=object)[0]
+        assert all(type(c) is int for c in row)
+        assert row.tolist() == [-1, -(2 ** 70), 1]
+
+    def test_inexact_division_raises_on_both_dtypes(self):
+        # half-integer diagonal: tr(A(A - I)) = -1/2 is not divisible by 2
+        half = Fraction(1, 2)
+        with pytest.raises(ArithmeticError):
+            charpoly_rows([[[half, 0], [0, half]]], dtype=object)
+        # int64 wraps on these entries, and the wrapped trace at k=3 is
+        # not divisible by 3; Python ints get the same matrix right
+        big = [[2 ** 30 + 1, 1, 0], [1, 2 ** 30, 1], [0, 1, 3]]
+        with pytest.raises(ArithmeticError):
+            charpoly_rows([big])
+        assert tuple(charpoly_rows([big], dtype=object)[0]) == \
+            charpoly_exact(big).coeffs
+
+    def test_not_a_stack_of_square_matrices(self):
+        with pytest.raises(ValueError):
+            charpoly_rows([[1, 2], [3, 4]])
+        with pytest.raises(ValueError):
+            charpoly_rows([[[1, 2]]])
+
+
 class TestBareiss:
     def test_1x1(self):
         q = MPoly.var("a'") + 3
@@ -197,7 +238,7 @@ class TestBareiss:
 class TestDivision:
     def test_trivial(self):
         lam = MPoly.var("L")
-        assert poly_div_exact(lam ** 2 - 1, lam + 1) == lam - 1
+        assert (lam ** 2 - 1).divexact(lam + 1) == lam - 1
 
     def test_roundtrip_random(self):
         rng = random.Random(31)
@@ -207,22 +248,22 @@ class TestDivision:
             b = random_mpoly(rng, max_terms=3)
             if b.is_zero():
                 continue
-            assert poly_div_exact(a * b, b) == a
+            assert (a * b).divexact(b) == a
             done += 1
 
     def test_inexact_raises(self):
         lam = MPoly.var("L")
         with pytest.raises(ExactDivisionError):
-            poly_div_exact(lam ** 2 + 1, lam + 1)
+            (lam ** 2 + 1).divexact(lam + 1)
 
     def test_coefficient_inexact_raises(self):
         lam = MPoly.var("L")
         with pytest.raises(ExactDivisionError):
-            poly_div_exact(3 * lam, 2 * lam)
+            (3 * lam).divexact(2 * lam)
 
     def test_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            poly_div_exact(MPoly.const(1), MPoly())
+            MPoly.const(1).divexact(MPoly())
 
 
 class TestRootMultiplicity:

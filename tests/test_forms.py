@@ -2,7 +2,7 @@
 
 import pytest
 
-from specgraph.exactpoly import IntPoly, MPoly, charpoly_exact, poly_div_exact
+from specgraph.exactpoly import IntPoly, MPoly, charpoly_exact
 from specgraph.forms import (
     MatrixTemplate,
     appendix_p,
@@ -284,7 +284,7 @@ class TestAppendixTables:
 
     def test_divisibility_via_poly_div(self):
         lam = MPoly.var("L")
-        q3 = poly_div_exact(appendix_p(3), (-lam - 2) ** 2)
+        q3 = appendix_p(3).divexact((-lam - 2) ** 2)
         assert q3 == appendix_q(3)
 
     def test_out_of_range(self):

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from specgraph import mate
-from specgraph.exactpoly import charpoly_exact
+from specgraph.exactpoly import charpoly_exact, charpoly_rows
 from specgraph.forms import tab_charpoly_expanded
 from specgraph.graphs import (
     Graph,
@@ -53,6 +53,17 @@ def random_connected(rng, n, p=0.45):
             rows[j] |= 1 << i
         if _bf_connected(rows, n):
             return Graph(n, tuple(rows))
+
+
+def broom(n, d):
+    """Path v0..vd with the other n-d-1 vertices as leaves on v1; its
+    largest distance is d, and broom(n, n-1) is the path P_n."""
+    edges = [(i, i + 1) for i in range(d)] + [(1, v) for v in range(d + 1, n)]
+    return Graph.from_edges(n, edges)
+
+
+def largest_distance(g):
+    return max(max(row) for row in distance_matrix(g))
 
 
 class TestEnumeration:
@@ -183,6 +194,8 @@ class TestFingerprint:
 
     def test_int64_guard_boundaries(self):
         assert mate._int64_safe(9, 8)
+        assert mate._int64_safe(10, 5)
+        assert not mate._int64_safe(10, 6)
         assert not mate._int64_safe(19, 18)
 
     def test_text(self):
@@ -195,6 +208,63 @@ class TestFingerprint:
             desc = decode_fingerprint(fingerprint(g))
             assert tuple(reversed(desc)) == \
                 charpoly_exact(distance_matrix(g)).coeffs
+
+
+class TestInt64Guard:
+    """The per-matrix dtype choice at the edge of the int64 bound: every
+    distance matrix is admitted at order 9, and at order 10 exactly those
+    whose largest distance is at most 5."""
+
+    @staticmethod
+    def order10_with_largest(target, count=6):
+        # long random caterpillars plus a few chords, seeded
+        rng = random.Random(40 + target)
+        found = [broom(10, target)]
+        while len(found) < count:
+            edges = {(rng.randrange(max(0, v - 3), v), v) for v in range(1, 10)}
+            for _ in range(rng.randint(0, 2)):
+                u, v = sorted(rng.sample(range(10), 2))
+                edges.add((u, v))
+            g = Graph.from_edges(10, sorted(edges))
+            if largest_distance(g) == target:
+                found.append(g)
+        return found
+
+    @pytest.mark.parametrize("order,largest", [(9, 8), (9, 7), (9, 6),
+                                               (10, 5), (10, 6)])
+    def test_dtypes_agree_at_boundary(self, monkeypatch, order, largest):
+        graphs = ([broom(9, largest)] if order == 9
+                  else self.order10_with_largest(largest))
+        assert all(largest_distance(g) == largest for g in graphs)
+        dists = [distance_matrix(g) for g in graphs]
+        int64 = charpoly_rows(dists).tolist()
+        exact = charpoly_rows(dists, dtype=object).tolist()
+        assert int64 == exact
+        monkeypatch.setattr(mate, "_int64_safe", lambda n, m: False)
+        assert [decode_fingerprint(fingerprint(g)) for g in graphs] == \
+            [tuple(reversed(row)) for row in exact]
+
+    def test_mixed_chunk_in_order_with_bigint_only_for_unsafe(
+            self, monkeypatch):
+        rng = random.Random(9)
+        safe = [random_connected(rng, 10) for _ in range(60)]
+        unsafe = [broom(10, 6), broom(10, 8), named_graph("P", 10)]
+        assert all(largest_distance(g) <= 5 for g in safe)
+        graphs = (safe[:1] + unsafe[:1] + safe[1:30] + unsafe[1:2]
+                  + safe[30:] + unsafe[2:])
+        real = mate.charpoly_exact
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(mate, "charpoly_exact", counting)
+        fps = mate._fingerprints([distance_matrix(g) for g in graphs])
+        assert calls == [distance_matrix(g) for g in unsafe]
+        assert [decode_fingerprint(fp) for fp in fps] == [
+            tuple(reversed(real(distance_matrix(g)).coeffs))
+            for g in graphs]
 
 
 class TestClasses:
@@ -260,6 +330,29 @@ class TestClasses:
                     charpoly_exact(distance_matrix(g)).coeffs
             for g, h in combinations(graphs, 2):
                 assert not _bf_isomorphic(g.rows, h.rows, 7)
+
+    def test_jobs_clamped_to_cpu_count(self, fake_pools, monkeypatch):
+        pools = fake_pools(3)
+        serial = cospectral_classes_builtin(5, jobs=1).to_json_dict()
+        assert cospectral_classes_builtin(5, jobs=10 ** 6).to_json_dict() \
+            == serial
+        monkeypatch.setattr(mate, "_CHUNK", 4)
+        assert cospectral_classes(enumerate_connected(5),
+                                  jobs=10 ** 6).to_json_dict() == serial
+        assert pools == [[3, None], [3, None]]
+        fake_pools(None)
+        cospectral_classes_builtin(5, jobs=10 ** 6)
+        cospectral_classes(enumerate_connected(5), jobs=10 ** 6)
+        assert len(pools) == 2
+
+    def test_pool_closed_when_stream_is_rejected(self, fake_pools):
+        pools = fake_pools(2)
+        with pytest.raises(ValueError, match="empty graph stream"):
+            cospectral_classes(iter([]), jobs=2)
+        with pytest.raises(ValueError, match="mixed orders"):
+            cospectral_classes(iter([named_graph("P", 3),
+                                     named_graph("P", 4)]), jobs=2)
+        assert pools == [[2, ValueError], [2, ValueError]]
 
     def test_json_shape(self):
         doc = cospectral_classes(enumerate_connected(4)).to_json_dict()
