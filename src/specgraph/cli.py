@@ -21,10 +21,6 @@ from .graphs import Graph6Error, GraphError, distance_matrix, from_graph6, \
     named_graph
 from .spectra import eigenvalues_sym
 
-_FIXED_NAMES = ("H1", "H2", "H3", "H4", "H5", "H6", "H7",
-                "F1", "F2", "F3", "F4", "K4", "P6")
-
-
 class UsageError(Exception):
     pass
 
@@ -39,8 +35,10 @@ def parse_graph_spec(text: str):
             return named_graph(family, *values)
         except (ValueError, TypeError, GraphError) as exc:
             raise UsageError(f"bad graph spec {text!r}: {exc}") from exc
-    if text in _FIXED_NAMES:
+    try:
         return named_graph(text)
+    except ValueError:
+        pass  # not a parameterless catalog name
     try:
         return from_graph6(text)
     except Graph6Error as exc:
@@ -302,9 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="run every verifier at desk-scale "
                                       "bounds")
-    p.add_argument("--all", action="store_true",
-                   help="accepted for compatibility; the default already "
-                        "runs everything")
     p.add_argument("--max-ab", type=int, default=8, dest="max_ab")
     p.add_argument("--max-n", type=int, default=12, dest="max_n")
     p.add_argument("--max-c", type=int, default=100, dest="max_c")

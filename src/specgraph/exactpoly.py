@@ -7,15 +7,18 @@ Two polynomial types, both over arbitrary-precision integers:
              from exponent vectors to nonzero integer coefficients
 
 plus the exact kernels built on them: Faddeev-LeVerrier characteristic
-polynomials of stacks of integer matrices (in int64 where the caller has
-ruled out overflow, in Python ints otherwise), Bareiss fraction-free
-determinants of polynomial matrices, exact division, integer root
-multiplicities and exact sign evaluation at rationals.  No floats anywhere in this module.
+polynomials of stacks of integer matrices (in int64 where a proven bound
+rules out overflow, modulo word-size primes with a Chinese-remainder lift
+otherwise), Bareiss fraction-free determinants of polynomial matrices,
+exact division, integer root multiplicities and exact sign evaluation at
+rationals.  No floats anywhere in this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, lru_cache
+from math import comb, isqrt
 
 import numpy as np
 
@@ -369,48 +372,166 @@ L = MPoly.var("L")
 
 # ---------------------------------------------------------------------------
 # exact characteristic polynomials (one batched Faddeev-LeVerrier, in int64
-# machine words or in Python ints)
+# machine words where a proven bound rules out overflow, modulo word-size
+# primes with a Chinese-remainder lift otherwise)
 
-def charpoly_rows(stack, dtype=np.int64) -> np.ndarray:
-    """det(M - L*I) coefficients, ascending, one row per matrix of a stack
-    of equal-size square integer matrices, in the given dtype.
+def _hadamard_bounds(n: int, m: int) -> list[int]:
+    """|c_{n-i}| <= C(n,i) i^{i/2} m^i for an n x n matrix whose entries
+    are at most m in absolute value: c_{n-i} sums C(n,i) principal i x i
+    minors, each bounded by Hadamard's inequality."""
+    return [comb(n, i) * (isqrt(i ** i) + 1) * m ** i for i in range(n + 1)]
 
-    Faddeev-LeVerrier recurrence on the whole stack: int64 runs in machine
-    words and is exact only where the caller has ruled out overflow, object
-    keeps Python ints and is always exact.  Every interior division by k is
-    exact for integer matrices, so a remainder raises ArithmeticError on
-    either dtype.  Leading term is (-1)^n L^n.
+
+@cache
+def _int64_safe(n: int, max_entry: int) -> bool:
+    """Rigorous overflow bound for the unreduced int64 recurrence.
+
+    The k-th work matrix is A^k + c_{n-1}A^{k-1} + ... so its entries are
+    bounded by a computable sum of the coefficient bounds; the next matmul
+    amplifies by at most n*m.
     """
-    A = np.asarray(stack, dtype=dtype)
-    if A.ndim != 3 or A.shape[1] != A.shape[2]:
-        raise ValueError("expected a stack of square matrices")
-    count, n = A.shape[0], A.shape[1]
+    m = max(max_entry, 1)
+    cb = _hadamard_bounds(n, m)
+    cmax = max(cb)
+    limit = 2 ** 62
+    for k in range(1, n + 1):
+        bk = sum(cb[k - j] * n ** (j - 1) * m ** j for j in range(1, k + 1))
+        if bk > limit or n * m * (bk + cmax) > limit:
+            return False
+    return True
+
+
+@cache
+def _prime_below(q: int) -> int:
+    p = q - 1
+    while p % 2 == 0 or any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+        p -= 1
+    return p
+
+
+@lru_cache(maxsize=64)
+def _moduli(n: int, max_entry: int):
+    """The largest primes p < 2^26 with p > n and 2*n*p^2 < 2^63, descending,
+    until their product exceeds twice the coefficient bound; with them, the
+    inverses of 1..n modulo each prime and the CRT weights."""
+    need = 2 * max(_hadamard_bounds(n, max(max_entry, 1)))
+    p = min(2 ** 26, isqrt((2 ** 62 - 1) // n))
+    primes, product = [], 1
+    while product <= need:
+        p = _prime_below(p)
+        if p <= n:
+            raise ValueError(f"no word-size primes left for order {n}")
+        primes.append(p)
+        product *= p
+    inverses = np.array([[pow(k, -1, p) if k else 0 for p in primes]
+                         for k in range(n + 1)], dtype=np.int64)[..., None]
+    weights = [product // p * pow(product // p, -1, p) for p in primes]
+    return primes, inverses, weights, product
+
+
+def _recurrence(A, primes=None, inverses=None) -> np.ndarray:
+    """det(L*I - A) coefficients, ascending, of a stack A (..., n, n) of
+    int64 matrices, by Faddeev-LeVerrier.
+
+    Unreduced when primes is None: the caller has ruled out overflow, and
+    since every division by k is exact for integer matrices a remainder
+    raises ArithmeticError.  Otherwise A has a leading axis of primes, the
+    matrices in A[j] are reduced modulo primes[j], and each division is a
+    product with the inverse of k: entries stay below p, a shifted work
+    matrix below 2p, and a matmul below 2*n*p^2 < 2^63.
+    """
+    n = A.shape[-1]
     diag = np.arange(n)
-    coeffs = np.zeros((count, n + 1), dtype=dtype)  # det(L*I - M), ascending
-    coeffs[:, n] = 1
+    coeffs = np.zeros(A.shape[:-2] + (n + 1,), dtype=np.int64)
+    coeffs[..., n] = 1
+    if primes is not None:
+        p = np.array(primes, dtype=np.int64)[:, None]
     M = A.copy()
-    coeffs[:, n - 1] = -np.trace(M, axis1=1, axis2=2)
-    for k in range(2, n + 1):
-        M[:, diag, diag] += coeffs[:, n - k + 1, None]
-        M = A @ M
-        tr = -np.trace(M, axis1=1, axis2=2)
-        q = tr // k
-        if (q * k != tr).any():
-            raise ArithmeticError("interior division not exact; bad input?")
-        coeffs[:, n - k] = q
-    if n % 2:
-        coeffs = -coeffs
+    for k in range(1, n + 1):
+        if k > 1:
+            M[..., diag, diag] += coeffs[..., n - k + 1, None]
+            M = A @ M
+            if primes is not None:
+                M %= p[..., None, None]
+        tr = -np.trace(M, axis1=-2, axis2=-1)
+        if primes is None:
+            q = tr // k
+            if (q * k != tr).any():
+                raise ArithmeticError("interior division not exact")
+        else:
+            q = tr % p * inverses[k] % p
+        coeffs[..., n - k] = q
     return coeffs
+
+
+def _integer_stack(stack) -> np.ndarray:
+    """The stack as int64, or as Python ints where an entry does not fit;
+    ValueError for anything that is not a stack of square integer
+    matrices."""
+    A = np.asarray(stack)
+    if A.dtype == object:
+        if not all(isinstance(x, (int, np.integer)) for x in A.flat):
+            raise ValueError("expected integer matrices")
+        try:
+            A = A.astype(np.int64)
+        except OverflowError:
+            pass
+    elif A.dtype.kind in "biu":
+        A = A.astype(np.int64, copy=False)
+    else:
+        raise ValueError("expected integer matrices")
+    if A.ndim != 3 or A.shape[1] != A.shape[2] or A.shape[1] == 0:
+        raise ValueError("expected a stack of nonempty square matrices")
+    return A
+
+
+def charpoly_rows(stack) -> list[list[int]]:
+    """det(M - L*I) coefficients, ascending, as Python ints, one row per
+    matrix of a stack of equal-size square integer matrices, in input
+    order.  Leading term is (-1)^n L^n.
+
+    One Faddeev-LeVerrier recurrence, run twice over parts of the stack.
+    Every coefficient obeys |c_{n-i}| <= C(n,i) i^{i/2} m^i, m the
+    matrix's largest |entry|.  The matrices whose m lets that bound rule
+    out int64 overflow run as one unreduced int64 batch.  All others run
+    as one batch modulo each of the largest primes p < 2^26 with
+    2*n*p^2 < 2^63, as many as make their product exceed twice the
+    bound at the batch's largest m; the Chinese remainder theorem with
+    symmetric residues then gives every coefficient exactly.
+    """
+    A = _integer_stack(stack)
+    n = A.shape[1]
+    sign = -1 if n % 2 else 1
+    largest = [max(hi, -lo) for hi, lo in zip(A.max(axis=(1, 2)).tolist(),
+                                              A.min(axis=(1, 2)).tolist())]
+    safe = np.array([A.dtype == np.int64 and _int64_safe(n, m)
+                     for m in largest], dtype=bool)
+    rows: list = [None] * len(A)
+    if safe.any():
+        direct = _recurrence(A if safe.all() else A[safe])
+        direct *= sign
+        for i, row in zip(np.flatnonzero(safe).tolist(), direct.tolist()):
+            rows[i] = row
+    if not safe.all():
+        where = np.flatnonzero(~safe)
+        primes, inverses, weights, product = _moduli(
+            n, max(largest[i] for i in where))
+        B = A[where]
+        residues = _recurrence(
+            np.stack([B % p for p in primes]).astype(np.int64),
+            primes, inverses)
+        lifted = sum(w * r for w, r in zip(weights, residues.astype(object)))
+        lifted %= product
+        lifted = np.where(lifted > product // 2, lifted - product, lifted)
+        for i, row in zip(where.tolist(), (sign * lifted).tolist()):
+            rows[i] = row
+    return rows
 
 
 def charpoly_exact(matrix) -> IntPoly:
     """det(M - L*I) for a square integer matrix, exactly: a stack of one
-    through charpoly_rows in Python ints."""
-    A = [[int(x) for x in row] for row in matrix]
-    n = len(A)
-    if n == 0 or any(len(row) != n for row in A):
-        raise ValueError("matrix must be square and nonempty")
-    return IntPoly(charpoly_rows([A], dtype=object)[0])
+    through charpoly_rows."""
+    return IntPoly(charpoly_rows([matrix])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,11 @@ Cospectrality is decided exactly: the fingerprint is the coefficient
 vector of the distance characteristic polynomial, encoded degree-descending
 as length-prefixed two's-complement bytes.  Equal fingerprints therefore
 mean identical exact charpolys; no float ever touches a classing decision.
-Fingerprinting runs one batched int64 Faddeev-LeVerrier over every matrix
-whose largest entry a rigorously computed magnitude bound admits, and falls
-back to arbitrary-precision arithmetic for each other matrix on its own, so
-one large-diameter graph does not slow down the rest of its chunk.
+Fingerprinting is one exactpoly.charpoly_rows call per chunk: every matrix
+whose largest entry a rigorously computed magnitude bound admits goes
+through one int64 batch, and all the others through one batch modulo
+word-size primes lifted exactly by the Chinese remainder theorem, so a few
+large-diameter graphs do not slow down the rest of their chunk.
 """
 
 from __future__ import annotations
@@ -38,12 +39,9 @@ import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
-from math import comb, isqrt
 from multiprocessing import get_context
 
-import numpy as np
-
-from .exactpoly import IntPoly, charpoly_exact, charpoly_rows
+from .exactpoly import IntPoly, charpoly_rows
 from .graphs import (
     Graph,
     distance_matrix,
@@ -300,40 +298,11 @@ def fingerprint_text(fp: bytes) -> str:
     return IntPoly(tuple(reversed(desc))).text()
 
 
-@cache
-def _int64_safe(n: int, max_entry: int) -> bool:
-    """Rigorous overflow bound for the int64 Faddeev-LeVerrier path.
-
-    |c_{n-i}| <= C(n,i) i^{i/2} m^i (Hadamard) and the k-th work matrix is
-    A^k + c_{n-1}A^{k-1} + ... so its entries are bounded by a computable
-    sum; the next matmul amplifies by at most n*m.
-    """
-    m = max(max_entry, 1)
-    cb = [comb(n, i) * (isqrt(i ** i) + 1) * m ** i for i in range(n + 1)]
-    cmax = max(cb)
-    limit = 2 ** 62
-    for k in range(1, n + 1):
-        bk = sum(cb[k - j] * n ** (j - 1) * m ** j for j in range(1, k + 1))
-        if bk > limit or n * m * (bk + cmax) > limit:
-            return False
-    return True
-
-
 def _fingerprints(dists: list) -> list[bytes]:
-    """Fingerprints of equal-size distance matrices, in input order.
-
-    The matrices the int64 bound admits, each by its own largest entry, go
-    through one int64 batch; every other one goes through charpoly_exact.
-    """
+    """Fingerprints of equal-size distance matrices, in input order."""
     if not dists:
         return []
-    stack = np.array(dists, dtype=np.int64)
-    n = stack.shape[1]
-    safe = [_int64_safe(n, m) for m in stack.max(axis=(1, 2)).tolist()]
-    rows = iter(charpoly_rows(stack if all(safe) else stack[safe]).tolist())
-    return [_encode_coeffs(next(rows)[::-1]) if ok
-            else _encode_coeffs(charpoly_exact(d).coeffs[::-1])
-            for d, ok in zip(dists, safe)]
+    return [_encode_coeffs(row[::-1]) for row in charpoly_rows(dists)]
 
 
 def fingerprint(g: Graph) -> bytes:

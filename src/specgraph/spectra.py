@@ -1,10 +1,10 @@
-"""Symmetric eigensolver and spectrum comparisons.
+"""Symmetric eigenvalues and the interlacing check.
 
-A deliberately plain cyclic Jacobi iteration: rotations sweep the upper
-triangle until every off-diagonal entry is below 1e-12 in absolute value
-(matrix entries here are small integers, so absolute thresholds are safe).
-Output ordering is deterministic: eigenvalues sort descending with ties
-broken by the original diagonal index.
+Eigenvalues come from LAPACK's symmetric eigensolver through
+numpy.linalg.eigvalsh and are returned descending.  Floats only place
+eigenvalues: every decision about the eigenvalue -2 is checked against its
+exact multiplicity in the characteristic polynomial (see verify).  The last
+digits of an eigenvalue may differ between numpy/BLAS builds.
 
 Tolerance discipline used throughout the package: 5e-5 against 4-decimal
 truncated reference values, 1e-9 for internally computed comparisons.
@@ -12,19 +12,12 @@ truncated reference values, 1e-9 for internally computed comparisons.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-OFFDIAG_TOL = 1e-12
-MAX_SWEEPS = 100
 PAPER_TOL = 5e-5
 INTERNAL_TOL = 1e-9
-
-
-class JacobiConvergenceError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -52,60 +45,14 @@ class Spectrum:
         return self.values[i - 1]
 
 
-def nth_eigenvalue(s: Spectrum, i: int) -> float:
-    return s.nth(i)
-
-
 def eigenvalues_sym(matrix, tol: float = INTERNAL_TOL) -> Spectrum:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
+    """Eigenvalues of a symmetric matrix, descending."""
     A = np.array(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    n = A.shape[0]
     if np.max(np.abs(A - A.T), initial=0.0) > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")
-    if n == 1:
-        return Spectrum((float(A[0, 0]),), tol)
-
-    for _ in range(MAX_SWEEPS):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= OFFDIAG_TOL:
-                    continue
-                off = max(off, abs(apq))
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) +
-                                                 math.hypot(theta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = A[q, p] = 0.0
-        if off <= OFFDIAG_TOL:
-            break
-    else:
-        raise JacobiConvergenceError(
-            f"no convergence after {MAX_SWEEPS} sweeps")
-
-    diag = [float(A[i, i]) for i in range(n)]
-    order = sorted(range(n), key=lambda i: -diag[i])  # stable: ties by index
-    return Spectrum(tuple(diag[i] for i in order), tol)
-
-
-def compare_spectra(s1: Spectrum, s2: Spectrum, tol: float = INTERNAL_TOL) -> bool:
-    """Float-level cospectrality pre-filter; definitive decisions use exact
-    charpoly equality (see the mate-search fingerprints)."""
-    if s1.n != s2.n:
-        return False
-    return all(abs(a - b) <= tol for a, b in zip(s1.values, s2.values))
+    return Spectrum(tuple(np.linalg.eigvalsh(A)[::-1].tolist()), tol)
 
 
 def check_interlacing(parent: Spectrum, child: Spectrum,

@@ -123,3 +123,24 @@ def random_connected(rng, n, p=0.45):
             rows[j] |= 1 << i
         if bf_connected(rows, n):
             return Graph(n, tuple(rows))
+
+
+def fl_charpoly(matrix):
+    """det(M - L*I) coefficients, ascending, by Faddeev-LeVerrier in plain
+    Python ints with every division checked; shares no code with
+    exactpoly."""
+    A = [[int(x) for x in row] for row in matrix]
+    n = len(A)
+    c = [0] * (n + 1)
+    c[n] = 1
+    M = [row[:] for row in A]
+    for k in range(1, n + 1):
+        if k > 1:
+            for i in range(n):
+                M[i][i] += c[n - k + 1]
+            M = [[sum(A[i][t] * M[t][j] for t in range(n)) for j in range(n)]
+                 for i in range(n)]
+        q, r = divmod(-sum(M[i][i] for i in range(n)), k)
+        assert r == 0, "Faddeev-LeVerrier division not exact"
+        c[n - k] = q
+    return tuple(-x for x in c) if n % 2 else tuple(c)

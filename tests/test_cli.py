@@ -1,13 +1,19 @@
 """End-to-end CLI: exit codes, formats, determinism, JSON schema."""
 
 import json
+import os
 
 import pytest
 
 from specgraph import mate
 from specgraph.cli import main, parse_graph_spec
-from specgraph.graphs import to_graph6
+from specgraph.graphs import named_graph, to_graph6
 from specgraph.mate import enumerate_connected
+from specgraph.verify import EXPECTED_EXCEPTIONS
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data",
+                      "verify_all_default.json")
 
 
 def run_cli(capsys, *argv):
@@ -26,6 +32,9 @@ class TestGraphSpecGrammar:
         assert parse_graph_spec("H3").n == 6
         assert parse_graph_spec("F4").n == 10
         assert parse_graph_spec("P6").n == 6
+        # every case family of the catalog, with no list kept in the CLI
+        for name in EXPECTED_EXCEPTIONS:
+            assert parse_graph_spec(name) == named_graph(name)
 
     def test_graph6_literal(self):
         g = parse_graph_spec("D?{")
@@ -37,6 +46,9 @@ class TestGraphSpecGrammar:
             parse_graph_spec("T:1")
         with pytest.raises(UsageError):
             parse_graph_spec("ZZZZ:")
+        # a parameterised family without its parameters is not a name
+        with pytest.raises(UsageError):
+            parse_graph_spec("T")
 
 
 class TestSpectrum:
@@ -131,6 +143,62 @@ class TestVerify:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["lemma"] == "cycles"
+
+
+def json_mismatches(got, want, path="$", tol=1e-9):
+    """Paths where two JSON documents differ: any difference in structure,
+    keys, strings, ints or booleans, and floats more than tol apart."""
+    if isinstance(want, float) and isinstance(got, (int, float)) \
+            and not isinstance(got, bool):
+        return [] if abs(got - want) <= tol else [path]
+    if type(got) is not type(want):
+        return [path]
+    if isinstance(want, dict):
+        if got.keys() != want.keys():
+            return [path]
+        return [p for k in want
+                for p in json_mismatches(got[k], want[k], f"{path}.{k}", tol)]
+    if isinstance(want, list):
+        if len(got) != len(want):
+            return [path]
+        return [p for i, (g, w) in enumerate(zip(got, want))
+                for p in json_mismatches(g, w, f"{path}[{i}]", tol)]
+    return [] if got == want else [path]
+
+
+class TestVerifyGolden:
+    """verify all at the default bounds against a committed report made
+    with the earlier Jacobi eigensolver: floats within 1e-9, all else
+    equal.  Eigenvalue digits depend on the numpy/BLAS build; verdicts
+    must not."""
+
+    def test_verify_all_matches_golden(self, capsys):
+        with open(GOLDEN, encoding="utf-8") as fh:
+            want = json.load(fh)
+        code, out, _ = run_cli(capsys, "verify", "all", "--no-timestamp")
+        assert code == 1  # case:F2, by design
+        assert json_mismatches(json.loads(out), want) == []
+
+    def test_comparison_catches_changes(self):
+        with open(GOLDEN, encoding="utf-8") as fh:
+            want = json.load(fh)
+        case = want["results"][3]["cases"][0]
+        assert isinstance(case["eigenvalue"]["value"], float)
+        for mutate in (
+                lambda d: d["results"][3]["cases"][0]["eigenvalue"].update(
+                    value=case["eigenvalue"]["value"] + 2e-9),
+                lambda d: d["results"][3]["cases"][0]["eigenvalue"].update(
+                    index=case["eigenvalue"]["index"] + 1),
+                lambda d: d["results"][3]["cases"][0].update(
+                    verdict="infeasible-excluded"),
+                lambda d: d["results"][12].update(status="pass"),
+                lambda d: d["results"].pop()):
+            got = json.loads(json.dumps(want))
+            mutate(got)
+            assert json_mismatches(got, want)
+        nudged = json.loads(json.dumps(want))
+        nudged["results"][3]["cases"][0]["eigenvalue"]["value"] += 5e-10
+        assert json_mismatches(nudged, want) == []
 
 
 class TestMateSearch:
@@ -231,7 +299,7 @@ class TestMateSearch:
 
 class TestReport:
     def test_small_bounds_report(self, capsys):
-        code, out, _ = run_cli(capsys, "report", "--all", "--max-ab", "3",
+        code, out, _ = run_cli(capsys, "report", "--max-ab", "3",
                                "--max-n", "9", "--max-c", "3",
                                "--no-timestamp")
         # case:F2 fails (its a=2 case beats every spectral test; the sweep
@@ -245,6 +313,12 @@ class TestReport:
         # orders 5..8 with a <= b
         assert len(ds) == 1 + 1 + 2 + 2
         assert all(r["status"] == "pass" for r in ds)
+
+    def test_all_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--all"])
+        assert exc.value.code == 2
+        assert "--all" in capsys.readouterr().err
 
     def test_csv_one_row_per_lemma(self, capsys):
         code, out, _ = run_cli(capsys, "report", "--max-ab", "2",

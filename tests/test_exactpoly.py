@@ -1,11 +1,14 @@
 """Exact polynomial kernels: FL charpoly, Bareiss, division, signs."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oracle_utils import fl_charpoly
+from specgraph import exactpoly
 from specgraph.exactpoly import (
     ExactDivisionError,
     IntPoly,
@@ -167,44 +170,126 @@ class TestCharpoly:
             charpoly_exact([[1, 2]])
 
 
+def sylvester_hadamard(order):
+    H = [[1]]
+    while len(H) < order:
+        H = [row + row for row in H] + [row + [-x for x in row] for row in H]
+    return H
+
+
 class TestCharpolyRows:
-    def test_dtypes_agree_with_charpoly_exact(self):
+    def test_dtypes_agree_with_charpoly_exact(self, monkeypatch):
+        # the int64 batch and the modular batch, against the oracle
         rng = random.Random(13)
-        for n in range(1, 7):
-            stack = [[[rng.randint(-5, 5) for _ in range(n)]
-                      for _ in range(n)] for _ in range(8)]
-            fast = charpoly_rows(stack).tolist()
-            exact = charpoly_rows(stack, dtype=object).tolist()
-            assert fast == exact
-            assert [tuple(row) for row in exact] == \
-                [charpoly_exact(M).coeffs for M in stack]
+        stacks = [[[[rng.randint(-5, 5) for _ in range(n)]
+                    for _ in range(n)] for _ in range(8)]
+                  for n in range(1, 7)]
+        want = [[list(fl_charpoly(M)) for M in stack] for stack in stacks]
+        assert [charpoly_rows(stack) for stack in stacks] == want
+        for stack, rows in zip(stacks, want):
+            assert [list(charpoly_exact(M).coeffs) for M in stack] == rows
+        monkeypatch.setattr(exactpoly, "_int64_safe", lambda n, m: False)
+        assert [charpoly_rows(stack) for stack in stacks] == want
 
     def test_rows_keep_dtype(self):
-        M = [[[0, 2], [2, 0]]]
-        assert charpoly_rows(M).dtype == np.int64
-        # past int64: Python ints all the way through
-        row = charpoly_rows([[[2 ** 70, 1], [1, 0]]], dtype=object)[0]
+        # every row is Python ints, whichever batch made it
+        rows = charpoly_rows([[[0, 2], [2, 0]]])
+        assert rows == [[-4, 0, 1]]
+        assert all(type(c) is int for c in rows[0])
+        # entries past int64
+        row = charpoly_rows([[[2 ** 70, 1], [1, 0]]])[0]
         assert all(type(c) is int for c in row)
-        assert row.tolist() == [-1, -(2 ** 70), 1]
+        assert row == [-1, -(2 ** 70), 1]
+
+    def test_wide_random_signed_matrices_exact(self):
+        rng = random.Random(29)
+        for n in (1, 2, 3, 7, 16, 30):
+            M = [[rng.randint(-2 ** 30, 2 ** 30) for _ in range(n)]
+                 for _ in range(n)]
+            assert tuple(charpoly_rows([M])[0]) == fl_charpoly(M)
+            assert charpoly_exact(M).coeffs == fl_charpoly(M)
 
     def test_inexact_division_raises_on_both_dtypes(self):
-        # half-integer diagonal: tr(A(A - I)) = -1/2 is not divisible by 2
-        half = Fraction(1, 2)
-        with pytest.raises(ArithmeticError):
-            charpoly_rows([[[half, 0], [0, half]]], dtype=object)
-        # int64 wraps on these entries, and the wrapped trace at k=3 is
-        # not divisible by 3; Python ints get the same matrix right
+        # the unreduced int64 recurrence wraps on these entries and its
+        # trace at k=3 is then not divisible by 3; the guard sends the
+        # matrix to the modular batch, which gets it right
         big = [[2 ** 30 + 1, 1, 0], [1, 2 ** 30, 1], [0, 1, 3]]
+        assert not exactpoly._int64_safe(3, 2 ** 30 + 1)
         with pytest.raises(ArithmeticError):
-            charpoly_rows([big])
-        assert tuple(charpoly_rows([big], dtype=object)[0]) == \
-            charpoly_exact(big).coeffs
+            exactpoly._recurrence(np.array([big], dtype=np.int64))
+        assert tuple(charpoly_rows([big])[0]) == fl_charpoly(big)
+        assert charpoly_exact(big).coeffs == fl_charpoly(big)
+        # a half-integer diagonal, whose tr(A(A - I)) = -1/2 is not
+        # divisible by 2, is refused before any arithmetic
+        half = Fraction(1, 2)
+        with pytest.raises(ValueError):
+            charpoly_rows([[[half, 0], [0, half]]])
+
+    def test_hadamard_16_meets_the_bound(self, monkeypatch):
+        H = sylvester_hadamard(16)
+        want = fl_charpoly(H)
+        # det(H) = 16^(16/2) = 2^32 is Hadamard's bound with m = 1
+        assert want[0] == 2 ** 32
+        assert tuple(charpoly_rows([H])[0]) == want
+        monkeypatch.setattr(exactpoly, "_int64_safe", lambda n, m: False)
+        assert tuple(charpoly_rows([H])[0]) == want
+        assert charpoly_exact(H)(0) == 2 ** 32
+
+    def test_mixed_stack_in_input_order_one_batch_each(self, monkeypatch):
+        rng = random.Random(31)
+        n = 8
+        small = [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+                 for _ in range(6)]
+        wide = [[[rng.randint(-2 ** 40, 2 ** 40) for _ in range(n)]
+                 for _ in range(n)] for _ in range(3)]
+        stack = small[:2] + wide[:1] + small[2:5] + wide[1:] + small[5:]
+        calls = []
+        real = exactpoly._recurrence
+
+        def recording(A, primes=None, inverses=None):
+            calls.append((A.shape, primes))
+            return real(A, primes, inverses)
+
+        monkeypatch.setattr(exactpoly, "_recurrence", recording)
+        assert [tuple(r) for r in charpoly_rows(stack)] == \
+            [fl_charpoly(M) for M in stack]
+        primes = exactpoly._moduli(n, 2 ** 40)[0]
+        assert calls == [((6, n, n), None),
+                         ((len(primes), 3, n, n), primes)]
+
+    def test_moduli_conditions(self):
+        # at (6, 8) one prime exceeds the bound but not twice the bound
+        for n, m in ((1, 1), (6, 8), (10, 9), (27, 13), (30, 2 ** 30)):
+            primes, inverses, weights, product = exactpoly._moduli(n, m)
+            bound = max(math.comb(n, i) * (math.isqrt(i ** i - 1) + 1) * m ** i
+                        for i in range(n + 1))
+            assert product == math.prod(primes)
+            assert product > 2 * bound
+            for j, p in enumerate(primes):
+                assert n < p < 2 ** 26 and 2 * n * p * p < 2 ** 63
+                assert all(p % d for d in range(2, math.isqrt(p) + 1))
+                assert all(k * inverses[k, j, 0] % p == 1
+                           for k in range(1, n + 1))
+        # past order 1024 the cap on 2*n*p^2 is the binding one
+        p = exactpoly._moduli(1100, 1)[0][0]
+        assert 2 * 1100 * p * p < 2 ** 63 and p < 2 ** 26 - 2 ** 20
+
+    def test_non_integer_input_rejected(self):
+        half = Fraction(1, 2)
+        for bad in ([[[half, 1], [1, 0]]], [[[0.5, 0], [0, 1]]],
+                    [[[1.0, 0.0], [0.0, 1.0]]], [[["1", "0"], ["0", "1"]]]):
+            with pytest.raises(ValueError):
+                charpoly_rows(bad)
+        with pytest.raises(ValueError):
+            charpoly_exact([[half]])
 
     def test_not_a_stack_of_square_matrices(self):
         with pytest.raises(ValueError):
             charpoly_rows([[1, 2], [3, 4]])
         with pytest.raises(ValueError):
             charpoly_rows([[[1, 2]]])
+        with pytest.raises(ValueError):
+            charpoly_exact([])
 
 
 class TestBareiss:

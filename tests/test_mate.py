@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from specgraph import mate
+from specgraph import exactpoly, mate
 from specgraph.exactpoly import charpoly_exact, charpoly_rows
 from specgraph.forms import tab_charpoly_expanded
 from specgraph.graphs import (
@@ -37,6 +37,7 @@ from oracle_utils import (
     bf_isomorphic as _bf_isomorphic,
     bf_lex_least,
     brute_force_connected_count,
+    fl_charpoly,
 )
 
 # all graphs on n vertices up to isomorphism (OEIS A000088)
@@ -184,19 +185,20 @@ class TestFingerprint:
             assert fingerprint(g) == fingerprint(h)
 
     def test_matches_exact_charpoly_path(self, monkeypatch):
+        # the int64 batch against the modular batch
         rng = random.Random(21)
         graphs = [random_connected(rng, rng.randint(2, 9))
                   for _ in range(40)]
         fast = [fingerprint(g) for g in graphs]
-        monkeypatch.setattr(mate, "_int64_safe", lambda n, m: False)
+        monkeypatch.setattr(exactpoly, "_int64_safe", lambda n, m: False)
         slow = [fingerprint(g) for g in graphs]
         assert fast == slow
 
     def test_int64_guard_boundaries(self):
-        assert mate._int64_safe(9, 8)
-        assert mate._int64_safe(10, 5)
-        assert not mate._int64_safe(10, 6)
-        assert not mate._int64_safe(19, 18)
+        assert exactpoly._int64_safe(9, 8)
+        assert exactpoly._int64_safe(10, 5)
+        assert not exactpoly._int64_safe(10, 6)
+        assert not exactpoly._int64_safe(19, 18)
 
     def test_text(self):
         fp = fingerprint(named_graph("P", 2))
@@ -211,9 +213,10 @@ class TestFingerprint:
 
 
 class TestInt64Guard:
-    """The per-matrix dtype choice at the edge of the int64 bound: every
+    """The per-matrix path choice at the edge of the int64 bound: every
     distance matrix is admitted at order 9, and at order 10 exactly those
-    whose largest distance is at most 5."""
+    whose largest distance is at most 5; the rest go through the modular
+    batch."""
 
     @staticmethod
     def order10_with_largest(target, count=6):
@@ -233,37 +236,45 @@ class TestInt64Guard:
     @pytest.mark.parametrize("order,largest", [(9, 8), (9, 7), (9, 6),
                                                (10, 5), (10, 6)])
     def test_dtypes_agree_at_boundary(self, monkeypatch, order, largest):
+        # the natural path and the modular batch, against the oracle
         graphs = ([broom(9, largest)] if order == 9
                   else self.order10_with_largest(largest))
         assert all(largest_distance(g) == largest for g in graphs)
+        assert exactpoly._int64_safe(order, largest) == \
+            ((order, largest) != (10, 6))
         dists = [distance_matrix(g) for g in graphs]
-        int64 = charpoly_rows(dists).tolist()
-        exact = charpoly_rows(dists, dtype=object).tolist()
-        assert int64 == exact
-        monkeypatch.setattr(mate, "_int64_safe", lambda n, m: False)
-        assert [decode_fingerprint(fingerprint(g)) for g in graphs] == \
-            [tuple(reversed(row)) for row in exact]
+        want = [list(fl_charpoly(d)) for d in dists]
+        assert charpoly_rows(dists) == want
+        fps = [decode_fingerprint(fingerprint(g)) for g in graphs]
+        monkeypatch.setattr(exactpoly, "_int64_safe", lambda n, m: False)
+        assert charpoly_rows(dists) == want
+        assert [decode_fingerprint(fingerprint(g)) for g in graphs] == fps \
+            == [tuple(reversed(row)) for row in want]
 
     def test_mixed_chunk_in_order_with_bigint_only_for_unsafe(
             self, monkeypatch):
+        # one int64 batch for the safe graphs, one modular batch for the
+        # unsafe ones
         rng = random.Random(9)
         safe = [random_connected(rng, 10) for _ in range(60)]
         unsafe = [broom(10, 6), broom(10, 8), named_graph("P", 10)]
         assert all(largest_distance(g) <= 5 for g in safe)
         graphs = (safe[:1] + unsafe[:1] + safe[1:30] + unsafe[1:2]
                   + safe[30:] + unsafe[2:])
-        real = mate.charpoly_exact
+        real = exactpoly._recurrence
         calls = []
 
-        def counting(matrix):
-            calls.append(matrix)
-            return real(matrix)
+        def recording(A, primes=None, inverses=None):
+            calls.append((A.shape, primes))
+            return real(A, primes, inverses)
 
-        monkeypatch.setattr(mate, "charpoly_exact", counting)
+        monkeypatch.setattr(exactpoly, "_recurrence", recording)
         fps = mate._fingerprints([distance_matrix(g) for g in graphs])
-        assert calls == [distance_matrix(g) for g in unsafe]
+        primes = exactpoly._moduli(10, 9)[0]
+        assert calls == [((60, 10, 10), None),
+                         ((len(primes), 3, 10, 10), primes)]
         assert [decode_fingerprint(fp) for fp in fps] == [
-            tuple(reversed(real(distance_matrix(g)).coeffs))
+            tuple(reversed(fl_charpoly(distance_matrix(g))))
             for g in graphs]
 
 

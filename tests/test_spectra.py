@@ -1,11 +1,11 @@
-"""Jacobi eigensolver, spectrum type, interlacing checks."""
+"""LAPACK eigenvalues, spectrum type, interlacing checks."""
 
 import random
 
-import numpy as np
 import pytest
 
 from specgraph.exactpoly import charpoly_exact
+from specgraph.forms import cycle_spectrum_closed
 from specgraph.graphs import (
     Graph,
     distance_matrix,
@@ -17,9 +17,7 @@ from specgraph.spectra import (
     PAPER_TOL,
     Spectrum,
     check_interlacing,
-    compare_spectra,
     eigenvalues_sym,
-    nth_eigenvalue,
 )
 
 T11_REFERENCE = (8.2882, -0.5578, -0.7639, -1.7304, -5.2361)
@@ -46,7 +44,7 @@ class TestSpectrumType:
 
     def test_nth(self):
         s = Spectrum((3.0, 1.0, -2.0))
-        assert nth_eigenvalue(s, 1) == 3.0
+        assert s.nth(1) == 3.0
         assert s.nth(3) == -2.0
         with pytest.raises(IndexError):
             s.nth(4)
@@ -115,14 +113,21 @@ class TestEigenvaluesSym:
                             for i, c in enumerate(p.coeffs))
                 assert abs(p(lam)) <= 1e-6 * scale
 
-    def test_matches_numpy(self):
-        rng = random.Random(13)
-        for _ in range(20):
-            g = random_connected(rng)
-            d = distance_matrix(g)
-            ours = spectrum_of(g).values
-            ref = sorted(np.linalg.eigvalsh(np.array(d, float)), reverse=True)
-            assert max(abs(a - b) for a, b in zip(ours, ref)) <= 1e-8
+    def test_matches_closed_cycle_spectra(self):
+        for n in range(3, 41):
+            closed = cycle_spectrum_closed(n)
+            got = spectrum_of(named_graph("C", n))
+            assert got.n == closed.n == n
+            assert max(abs(a - b) for a, b in
+                       zip(got.values, closed.values)) <= 1e-9
+
+    def test_complete_graph_minus_one_run(self):
+        for n in range(2, 16):
+            s = spectrum_of(named_graph("K", n))
+            assert list(s.values) == sorted(s.values, reverse=True)
+            assert abs(s.nth(1) - (n - 1)) <= 1e-9
+            assert sum(abs(v + 1.0) <= 1e-9 for v in s.values) == n - 1
+            assert all(abs(s.nth(i) + 1.0) <= 1e-9 for i in range(2, n + 1))
 
     def test_eigenvalue_product_matches_determinant(self):
         rng = random.Random(19)
@@ -137,20 +142,19 @@ class TestEigenvaluesSym:
 
 
 class TestCompare:
-    def test_identity(self):
-        s = spectrum_of(named_graph("T", 2, 2))
-        assert compare_spectra(s, s, 0.0)
-
     def test_isomorphic_orientations(self):
-        assert compare_spectra(spectrum_of(named_graph("T", 1, 2)),
-                               spectrum_of(named_graph("T", 2, 1)), 1e-9)
+        s, t = (spectrum_of(named_graph("T", 1, 2)),
+                spectrum_of(named_graph("T", 2, 1)))
+        assert s.n == t.n
+        assert all(abs(s.nth(i) - t.nth(i)) <= 1e-9
+                   for i in range(1, s.n + 1))
 
     def test_different_graphs(self):
-        assert not compare_spectra(spectrum_of(named_graph("T", 1, 1)),
-                                   spectrum_of(named_graph("C", 5)), 1e-3)
-
-    def test_length_mismatch(self):
-        assert not compare_spectra(Spectrum((1.0,)), Spectrum((1.0, 0.0)))
+        s, t = (spectrum_of(named_graph("T", 1, 1)),
+                spectrum_of(named_graph("C", 5)))
+        assert s.n == t.n
+        assert any(abs(s.nth(i) - t.nth(i)) > 1e-3
+                   for i in range(1, s.n + 1))
 
 
 class TestInterlacing:
