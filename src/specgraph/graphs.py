@@ -2,8 +2,8 @@
 
 Vertices are 0..n-1 and each adjacency row is one Python int used as a
 bitmask, so n is capped at 64.  Everything here is immutable and pure:
-graphs, BFS distance matrices, induced subgraphs, the graph6 codec and a
-backtracking induced-subgraph matcher for graphs of at most ~10 vertices.
+graphs, BFS distance matrices, the graph6 codec and a backtracking
+induced-subgraph matcher for graphs of at most ~10 vertices.
 
 Named families:
 
@@ -259,9 +259,10 @@ def named_graph(family: str, *params: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# distances and subgraphs
+# reachability and distances
 
 def _bfs_reach(rows, start: int) -> int:
+    """Bitmask of the vertices reachable from start over bit rows."""
     seen = 1 << start
     frontier = seen
     while frontier:
@@ -310,61 +311,6 @@ def distance_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
             raise DisconnectedError("distance matrix requires a connected graph")
         dist.append(tuple(d))
     return tuple(dist)
-
-
-def diameter(g: Graph) -> int:
-    return max(max(row) for row in distance_matrix(g))
-
-
-def induced_subgraph(g: Graph, vertices) -> Graph:
-    """Subgraph induced by the given vertex set, relabeled to 0..k-1 in the
-    set's sorted order."""
-    vs = sorted(set(vertices))
-    if not vs:
-        raise GraphError("induced subgraph needs a nonempty vertex set")
-    if vs[0] < 0 or vs[-1] >= g.n:
-        raise GraphError("vertex index out of range")
-    pos = {v: i for i, v in enumerate(vs)}
-    edges = [(pos[u], pos[v]) for u in vs for v in vs
-             if u < v and g.adjacent(u, v)]
-    return Graph.from_edges(len(vs), edges)
-
-
-def principal_submatrix(matrix, vertices) -> tuple[tuple[int, ...], ...]:
-    """Rows and columns of a square matrix restricted to one index subset.
-
-    This is D_G[S]; in general it is *not* the distance matrix of the
-    induced subgraph.
-    """
-    vs = sorted(set(vertices))
-    if not vs:
-        raise GraphError("principal submatrix needs a nonempty index set")
-    if vs[0] < 0 or vs[-1] >= len(matrix):
-        raise GraphError("index out of range")
-    return tuple(tuple(matrix[i][j] for j in vs) for i in vs)
-
-
-def partition_by_attachment(g: Graph, path_vertices) -> list[frozenset[int]]:
-    """Split V minus X into classes V_0..V_k by how many vertices of the
-    induced path X each outside vertex is adjacent to."""
-    X = list(path_vertices)
-    k = len(X)
-    if len(set(X)) != k or any(v < 0 or v >= g.n for v in X):
-        raise GraphError("path vertices must be distinct and in range")
-    for i in range(k):
-        for j in range(i + 1, k):
-            if g.adjacent(X[i], X[j]) != (j == i + 1):
-                raise GraphError("vertex list does not induce a path in order")
-    xmask = 0
-    for v in X:
-        xmask |= 1 << v
-    classes = [set() for _ in range(k + 1)]
-    for v in range(g.n):
-        if xmask >> v & 1:
-            continue
-        hits = bin(g.rows[v] & xmask).count("1")
-        classes[hits].add(v)
-    return [frozenset(c) for c in classes]
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +369,6 @@ def find_induced_embedding(g: Graph, h: Graph):
         return False
 
     return dict(image) if extend(0) else None
-
-
-def contains_induced(g: Graph, h: Graph) -> bool:
-    """True iff some vertex subset of g induces a graph isomorphic to h."""
-    return find_induced_embedding(g, h) is not None
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -30,6 +30,13 @@ whose largest entry a rigorously computed magnitude bound admits goes
 through one int64 batch, and all the others through one batch modulo
 word-size primes lifted exactly by the Chinese remainder theorem, so a few
 large-diameter graphs do not slow down the rest of their chunk.
+
+Both class tables run one pipeline: a source of tasks, one worker that
+fingerprints a task's graphs a chunk at a time, and one merge in the
+parent.  The built-in source is level n-1 cut into slices of parents,
+each task generating its own connected children; the graph6 source is the
+stream cut into chunks as it is read, so on a pool the workers start on
+the first chunks while the rest are still being parsed.
 """
 
 from __future__ import annotations
@@ -39,11 +46,13 @@ import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 from multiprocessing import get_context
 
 from .exactpoly import IntPoly, charpoly_rows
 from .graphs import (
     Graph,
+    _bfs_reach,
     distance_matrix,
     from_graph6,
     is_isomorphic,
@@ -224,20 +233,20 @@ def _canonical_children(rows: tuple[int, ...], gens):
 
 def _canonical_level(n: int) -> list[tuple[tuple[int, ...], list]]:
     """All canonical labeled graphs on exactly n vertices, each with the
-    automorphisms its canonical test found."""
-    level = [((0,), [])]
-    for _ in range(2, n + 1):
+    automorphisms its canonical test found; level 0 is the empty graph."""
+    level = [((), [])]
+    for _ in range(n):
         level = [c for rows, gens in level
                  for c in _canonical_children(rows, gens)]
     return level
 
 
-def _connected_children(parents, n: int):
+def _connected_children(parents):
     """Connected canonical children of (rows, automorphisms) parents."""
     for rows, gens in parents:
         for child, _ in _canonical_children(rows, gens):
-            if _bits_connected(child):
-                yield Graph(n, child)
+            if _bfs_reach(child, 0) == (1 << len(child)) - 1:
+                yield Graph(len(child), child)
 
 
 def enumerate_connected(n: int):
@@ -247,25 +256,7 @@ def enumerate_connected(n: int):
         raise ValueError(
             f"built-in generation covers 1..{BUILTIN_MAX_ORDER} vertices; "
             "supply an external graph6 stream for larger orders")
-    if n == 1:
-        yield Graph(1, (0,))
-        return
-    yield from _connected_children(_canonical_level(n - 1), n)
-
-
-def _bits_connected(rows) -> bool:
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            v = (f & -f).bit_length() - 1
-            f &= f - 1
-            nxt |= rows[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << len(rows)) - 1
+    yield from _connected_children(_canonical_level(n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -348,23 +339,10 @@ class CospectralClasses:
         return "\n".join(lines) + "\n"
 
 
-def _merge(acc: dict, part: dict):
-    for fp, members in part.items():
-        acc.setdefault(fp, []).extend(members)
-
-
 def _finish(order: int, acc: dict, total: int) -> CospectralClasses:
     classes = {fp: tuple(sorted(members))
                for fp, members in sorted(acc.items())}
     return CospectralClasses(order, classes, total)
-
-
-def _class_chunk(graphs: list[Graph]) -> dict:
-    part: dict[bytes, list[str]] = {}
-    fps = _fingerprints([distance_matrix(g) for g in graphs])
-    for g, fp in zip(graphs, fps):
-        part.setdefault(fp, []).append(to_graph6(g))
-    return part
 
 
 def _pool_size(jobs: int) -> int:
@@ -372,75 +350,91 @@ def _pool_size(jobs: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1))
 
 
-def _read_chunks(stream) -> list[list[Graph]]:
-    """The stream's graphs in chunks, checked to share one order."""
-    chunks: list[list[Graph]] = []
-    order = None
-    for g in stream:
-        if order is None:
-            order = g.n
-        elif g.n != order:
-            raise ValueError(
-                f"mixed orders in stream: {g.n} after {order}")
-        if not chunks or len(chunks[-1]) >= _CHUNK:
-            chunks.append([])
-        chunks[-1].append(g)
-    if order is None:
-        raise ValueError("empty graph stream")
-    return chunks
+def _class_part(graphs) -> tuple[int, dict]:
+    """Graph count and fingerprint -> graph6 members of an iterable of
+    graphs, fingerprinted _CHUNK at a time."""
+    part: dict[bytes, list[str]] = {}
+    count = 0
+    graphs = iter(graphs)
+    while chunk := list(islice(graphs, _CHUNK)):
+        fps = _fingerprints([distance_matrix(g) for g in chunk])
+        for g, fp in zip(chunk, fps):
+            part.setdefault(fp, []).append(to_graph6(g))
+        count += len(chunk)
+    return count, part
+
+
+def _children_part(parents) -> tuple[int, dict]:
+    """The built-in task: the class part of a parent slice's connected
+    children."""
+    return _class_part(_connected_children(parents))
+
+
+def _classify(work, tasks, jobs: int) -> tuple[int, dict]:
+    """Run work over tasks on up to jobs workers and merge the (count,
+    part) results.
+
+    The pool forks before the first task is drawn, so tasks may come from
+    a generator that the pool's feeder thread runs while workers are busy;
+    an exception it raises reaches the caller.  The merge is order-
+    independent and _finish sorts, so results are bitwise identical for
+    any task split and any worker count.
+    """
+    jobs = _pool_size(jobs)
+    acc: dict[bytes, list[str]] = {}
+    total = 0
+    with (get_context("fork").Pool(jobs) if jobs > 1
+          else nullcontext()) as pool:
+        parts = (pool.imap_unordered(work, tasks) if pool is not None
+                 else map(work, tasks))
+        for count, part in parts:
+            total += count
+            for fp, members in part.items():
+                acc.setdefault(fp, []).extend(members)
+    return total, acc
 
 
 def cospectral_classes(stream, jobs: int = 1) -> CospectralClasses:
     """Group connected same-order graphs by exact distance charpoly.
 
-    The stream may be partitioned across workers; the merge is
-    order-independent and the output is sorted, so results are bitwise
-    identical for any chunking and any worker count.
+    The stream is cut into _CHUNK-graph tasks as it is read, checked to
+    share one order.
     """
-    jobs = _pool_size(jobs)
-    acc: dict[bytes, list[str]] = {}
-    # fork before reading the stream, so that no worker starts out holding it
-    with (get_context("fork").Pool(jobs) if jobs > 1
-          else nullcontext()) as pool:
-        chunks = _read_chunks(stream)
-        if pool is not None and len(chunks) > 1:
-            parts = pool.imap_unordered(_class_chunk, chunks)
-        else:
-            parts = map(_class_chunk, chunks)
-        for part in parts:
-            _merge(acc, part)
-    return _finish(chunks[0][0].n, acc, sum(map(len, chunks)))
+    orders: list[int] = []
 
+    def chunks():
+        chunk = []
+        for g in stream:
+            if not orders:
+                orders.append(g.n)
+            elif g.n != orders[0]:
+                raise ValueError(
+                    f"mixed orders in stream: {g.n} after {orders[0]}")
+            chunk.append(g)
+            if len(chunk) == _CHUNK:
+                yield chunk
+                chunk = []
+        if not orders:
+            raise ValueError("empty graph stream")
+        if chunk:
+            yield chunk
 
-def _builtin_worker(args) -> tuple[int, dict]:
-    parents, n = args
-    graphs = list(_connected_children(parents, n))
-    part: dict[bytes, list[str]] = {}
-    count = 0
-    for i in range(0, len(graphs), _CHUNK):
-        _merge(part, _class_chunk(graphs[i:i + _CHUNK]))
-        count += len(graphs[i:i + _CHUNK])
-    return count, part
+    total, acc = _classify(_class_part, chunks(), jobs)
+    return _finish(orders[0], acc, total)
 
 
 def cospectral_classes_builtin(n: int, jobs: int = 1) -> CospectralClasses:
     """Classes over all connected graphs of order n from the built-in
-    generator; the n-th level fans out across workers by parent."""
+    generator; level n-1 is split into parent slices, one task each."""
     if not 1 <= n <= BUILTIN_MAX_ORDER:
         raise ValueError(
             f"built-in generation covers 1..{BUILTIN_MAX_ORDER} vertices")
-    jobs = _pool_size(jobs)
-    if jobs <= 1 or n <= 3:
-        return cospectral_classes(enumerate_connected(n), jobs=1)
     parents = _canonical_level(n - 1)
-    step = max(1, len(parents) // (jobs * 8))
-    tasks = [(parents[i:i + step], n) for i in range(0, len(parents), step)]
-    acc: dict[bytes, list[str]] = {}
-    total = 0
-    with get_context("fork").Pool(jobs) as pool:
-        for count, part in pool.imap_unordered(_builtin_worker, tasks):
-            total += count
-            _merge(acc, part)
+    jobs = _pool_size(jobs)
+    # one serial task keeps a single part dict; workers get 8 slices each
+    step = max(1, len(parents) // (jobs * 8)) if jobs > 1 else len(parents)
+    tasks = [parents[i:i + step] for i in range(0, len(parents), step)]
+    total, acc = _classify(_children_part, tasks, jobs)
     return _finish(n, acc, total)
 
 
@@ -476,25 +470,12 @@ def tab_order(a: int, b: int) -> int:
     return a + b + 3
 
 
-def ds_verdict(a: int, b: int, source: str | None = None, jobs: int = 1,
-               classes: CospectralClasses | None = None) -> VerificationResult:
+def ds_verdict(a: int, b: int,
+               classes: CospectralClasses) -> VerificationResult:
     """Exhaustive check that no non-isomorphic connected graph of order
-    a+b+3 shares T(a,b)'s exact distance charpoly.
-
-    Malformed lines of a graph6 source are skipped and listed in
-    details["input_diagnostics"].
-    """
+    a+b+3 shares T(a,b)'s exact distance charpoly, against the class
+    table of that order."""
     n = tab_order(a, b)
-    errors: list[str] = []
-    if classes is None:
-        if source is None:
-            classes = cospectral_classes_builtin(n, jobs=jobs)
-        else:
-            classes = cospectral_classes(
-                ingest_graph6(source,
-                              on_error=lambda ln, msg: errors.append(
-                                  f"line {ln}: {msg}")),
-                jobs=jobs)
     if classes.order != n:
         raise ValueError(
             f"graph source has order {classes.order}, T({a},{b}) needs {n}")
@@ -516,9 +497,7 @@ def ds_verdict(a: int, b: int, source: str | None = None, jobs: int = 1,
         "total_graphs": classes.total,
         "class_size": len(members),
         "charpoly": fingerprint_text(fp),
+        "witnesses": witnesses,
     }
-    if errors:
-        details["input_diagnostics"] = errors
-    details["witnesses"] = witnesses
     return VerificationResult(f"ds:T({a},{b})",
                               "fail" if witnesses else "pass", details)

@@ -1,4 +1,4 @@
-"""Symmetric eigenvalues and the interlacing check.
+"""Symmetric eigenvalues as a descending spectrum.
 
 Eigenvalues come from LAPACK's symmetric eigensolver through
 numpy.linalg.eigvalsh and are returned descending.  Floats only place
@@ -53,18 +53,3 @@ def eigenvalues_sym(matrix, tol: float = INTERNAL_TOL) -> Spectrum:
     if np.max(np.abs(A - A.T), initial=0.0) > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")
     return Spectrum(tuple(np.linalg.eigvalsh(A)[::-1].tolist()), tol)
-
-
-def check_interlacing(parent: Spectrum, child: Spectrum,
-                      tol: float = INTERNAL_TOL) -> bool:
-    """lambda_{n-m+i} - tol <= mu_i <= lambda_i + tol for i = 1..m."""
-    n, m = parent.n, child.n
-    if m > n:
-        raise ValueError("child spectrum larger than parent")
-    for i in range(1, m + 1):
-        mu = child.nth(i)
-        if mu > parent.nth(i) + tol:
-            return False
-        if mu < parent.nth(n - m + i) - tol:
-            return False
-    return True

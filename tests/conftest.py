@@ -1,5 +1,6 @@
 """Shared fixtures."""
 
+import signal
 from types import SimpleNamespace
 
 import pytest
@@ -36,3 +37,23 @@ def fake_pools(monkeypatch):
         return pools
 
     return install
+
+
+@pytest.fixture
+def real_pool(monkeypatch):
+    """Two real fork workers whatever the CPU count and three graphs per
+    stream chunk; an alarm fails a test whose pool never delivers a result
+    instead of letting it hang."""
+    monkeypatch.setattr(mate.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(mate, "_CHUNK", 3)
+
+    def expire(signum, frame):
+        raise TimeoutError("no pool result within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -268,6 +268,31 @@ class TestMateSearch:
         doc = json.loads(out)
         assert len(doc["input_diagnostics"]) == 1
 
+    def test_external_source_keeps_parse_errors(self, capsys, tmp_path):
+        path = tmp_path / "n5.g6"
+        lines = [to_graph6(g) for g in enumerate_connected(5)]
+        path.write_text("\n".join(lines[:2] + ["???bad"] + lines[2:]) + "\n")
+        code, out, _ = run_cli(capsys, "mate-search", "--tab", "1,1",
+                               "--input", str(path), "--no-timestamp")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["ds"]["status"] == "pass"
+        assert doc["ds"]["total_graphs"] == 21
+        (diagnostic,) = doc["input_diagnostics"]
+        assert diagnostic.startswith("line 3:")
+
+    def test_external_source(self, capsys, tmp_path):
+        path = tmp_path / "n5.g6"
+        path.write_text("\n".join(
+            to_graph6(g) for g in enumerate_connected(5)) + "\n")
+        code, out, _ = run_cli(capsys, "mate-search", "--tab", "1,1",
+                               "--input", str(path), "--no-timestamp")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["ds"]["status"] == "pass"
+        assert doc["ds"]["total_graphs"] == 21
+        assert "input_diagnostics" not in doc
+
     def test_order_mismatch_exit_2(self, capsys, tmp_path):
         path = tmp_path / "n5.g6"
         path.write_text("\n".join(to_graph6(g)
@@ -295,6 +320,14 @@ class TestMateSearch:
         code, _, err = run_cli(capsys, "mate-search", "--n", "5",
                                "--input", "/nonexistent/file.g6")
         assert code == 2
+
+    def test_missing_file_through_real_pool_exit_2(self, capsys, real_pool):
+        # the file is opened by the pool's feeder thread, not the caller
+        code, _, err = run_cli(capsys, "mate-search", "--n", "5",
+                               "--input", "/nonexistent/file.g6",
+                               "--jobs", "2")
+        assert code == 2
+        assert "No such file" in err
 
 
 class TestReport:

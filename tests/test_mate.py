@@ -306,13 +306,23 @@ class TestClasses:
         with pytest.raises(ValueError, match="empty"):
             cospectral_classes(iter([]))
 
-    def test_parallel_output_identical(self):
+    def test_parallel_output_identical(self, fake_pools):
         serial = cospectral_classes_builtin(6, jobs=1)
         parallel = cospectral_classes_builtin(6, jobs=2)
         a = json.dumps(serial.to_json_dict(), sort_keys=True)
         b = json.dumps(parallel.to_json_dict(), sort_keys=True)
         assert a == b
         assert serial.to_csv() == parallel.to_csv()
+        # built-in parent slices, serial and pooled, against the stream path
+        streamed = {
+            n: cospectral_classes(enumerate_connected(n)).to_json_dict()
+            for n in range(1, 7)}
+        for n, doc in streamed.items():
+            assert cospectral_classes_builtin(n, jobs=1).to_json_dict() == doc
+        pools = fake_pools(2)
+        for n, doc in streamed.items():
+            assert cospectral_classes_builtin(n, jobs=2).to_json_dict() == doc
+        assert pools == [[2, None]] * 6
 
     def test_chunked_stream_identical(self):
         graphs = list(enumerate_connected(6))
@@ -365,6 +375,16 @@ class TestClasses:
                                      named_graph("P", 4)]), jobs=2)
         assert pools == [[2, ValueError], [2, ValueError]]
 
+    def test_feed_errors_reach_caller_through_real_pool(self, real_pool):
+        graphs = list(enumerate_connected(5))[:6] + [named_graph("P", 4)]
+        with pytest.raises(ValueError, match="mixed orders") as exc:
+            cospectral_classes(iter(graphs), jobs=2)
+        # raised by the pool's feeder thread, delivered as a task result
+        assert exc.traceback[-1].path.name == "pool.py"
+        with pytest.raises(ValueError, match="empty graph stream") as exc:
+            cospectral_classes(iter([]), jobs=2)
+        assert exc.traceback[-1].path.name == "pool.py"
+
     def test_json_shape(self):
         doc = cospectral_classes(enumerate_connected(4)).to_json_dict()
         assert doc["schema"] == 1
@@ -413,7 +433,7 @@ class TestIngest:
 
 class TestDsVerdict:
     def test_t11_builtin(self):
-        r = ds_verdict(1, 1)
+        r = ds_verdict(1, 1, cospectral_classes_builtin(5))
         assert r.ok
         assert r.details["class_size"] == 1
         assert r.details["total_graphs"] == 21
@@ -441,25 +461,6 @@ class TestDsVerdict:
         assert not r.ok
         assert r.details["witnesses"][0]["class_size"] == 2
 
-    def test_external_source_keeps_parse_errors(self, tmp_path):
-        path = tmp_path / "n5.g6"
-        lines = [to_graph6(g) for g in enumerate_connected(5)]
-        path.write_text("\n".join(lines[:2] + ["???bad"] + lines[2:]) + "\n")
-        r = ds_verdict(1, 1, source=str(path))
-        assert r.ok
-        assert r.details["total_graphs"] == 21
-        (diagnostic,) = r.details["input_diagnostics"]
-        assert diagnostic.startswith("line 3:")
-
-    def test_external_source(self, tmp_path):
-        path = tmp_path / "n5.g6"
-        path.write_text("\n".join(
-            to_graph6(g) for g in enumerate_connected(5)) + "\n")
-        r = ds_verdict(1, 1, source=str(path))
-        assert r.ok
-        assert r.details["total_graphs"] == 21
-        assert "input_diagnostics" not in r.details
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            ds_verdict(0, 1)
+            ds_verdict(0, 1, cospectral_classes_builtin(4))
