@@ -60,10 +60,16 @@ class Graph:
                 raise GraphError(f"row {i} has bits beyond vertex range")
             if row >> i & 1:
                 raise GraphError(f"self-loop at vertex {i}")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (self.rows[i] >> j & 1) != (self.rows[j] >> i & 1):
-                    raise GraphError(f"adjacency not symmetric at ({i},{j})")
+        # every set bit (i, j) needs its mirror (j, i): O(edges)
+        rows = self.rows
+        for i, row in enumerate(rows):
+            while row:
+                low = row & -row
+                row ^= low
+                j = low.bit_length() - 1
+                if not rows[j] >> i & 1:
+                    raise GraphError("adjacency not symmetric at "
+                                     f"({min(i, j)},{max(i, j)})")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -261,8 +267,9 @@ def named_graph(family: str, *params: int) -> Graph:
 # ---------------------------------------------------------------------------
 # reachability and distances
 
-def _bfs_reach(rows, start: int) -> int:
-    """Bitmask of the vertices reachable from start over bit rows."""
+def _bfs_reach(rows, start: int, within: int = -1) -> int:
+    """Bitmask of the vertices reachable from start over bit rows, through
+    the vertices of the mask within only."""
     seen = 1 << start
     frontier = seen
     while frontier:
@@ -272,7 +279,7 @@ def _bfs_reach(rows, start: int) -> int:
             v = (f & -f).bit_length() - 1
             f &= f - 1
             nxt |= rows[v]
-        frontier = nxt & ~seen
+        frontier = nxt & within & ~seen
         seen |= frontier
     return seen
 

@@ -1,25 +1,27 @@
-"""Isomorphism-free enumeration of small graphs and the cospectral-mate
-search.
+"""Isomorphism-free enumeration of small connected graphs and the
+cospectral-mate search.
 
-Generation is orderly: a labeled graph is kept iff its labeling is the
-lexicographically least one (upper-triangle column-major bit string over
-all vertex orderings, decided by branch-and-bound with early exit, twin
-pruning and automorphism-orbit pruning at the root).  Deleting the last
-vertex of a lex-least labeling leaves a lex-least labeling, so extending
-every canonical graph by one vertex and keeping the canonical children
-enumerates every isomorphism class exactly once with no seen-set.  Because
-the lex-least parent of a connected graph may be disconnected, generation
-runs over all graphs and connectivity is filtered at yield time.
+Generation is McKay's canonical augmentation ("Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998) over connected graphs only.  Level k
+holds one connected graph per class, with generators of its automorphism
+group.  A child is P+S for a nonempty attachment subset S, one per orbit
+of subsets under Aut(P), and is kept iff its new vertex lies in the
+Aut(G)-orbit of a canonically chosen deletion vertex m(G).  m(G) is always
+a non-cut vertex, so G - m(G) is connected: every connected graph of order
+n is reached from exactly one class of order n-1, and no disconnected
+graph is ever built.
 
-Work is shared per parent.  The automorphisms the parent's own canonical
-test found (orbit-merging leaves and twin transpositions) stay with it, and
-of each orbit of attachment subsets under them only the subset giving the
-least new column is tested: relabeling the child by an automorphism that
-fixes the new vertex changes nothing but that column, so no other subset
-of the orbit can give a lex-least child.  The parent's columns and
-per-vertex lanes are built once and each child adds one bit per lane.
-Every subset still tested gets the full lex-least search, so the kept
-labelings are exactly those of the unpruned generator.
+The orbit question is settled by the cheapest test that decides it: the
+degree and the multiset of neighbour degrees over non-cut vertices; then
+the first cell of tied vertices after equitable refinement, whose cells
+are ordered by invariants, never by vertex numbers; at the last level, a
+cell that holds only the new vertex and its twins; and only then a small
+canonical labeling search (refinement, individualization, automorphism
+pruning), which every graph kept at an intermediate level also gets for
+its automorphism generators.  Every level the program builds, and the
+class table's total, is checked against A001349: an incomplete generating
+set would give duplicate children, a wrong deletion rule would lose
+classes.
 
 Cospectrality is decided exactly: the fingerprint is the coefficient
 vector of the distance characteristic polynomial, encoded degree-descending
@@ -45,7 +47,6 @@ import hashlib
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cache
 from itertools import islice
 from multiprocessing import get_context
 
@@ -55,6 +56,7 @@ from .graphs import (
     _bfs_reach,
     distance_matrix,
     from_graph6,
+    is_connected,
     is_isomorphic,
     named_graph,
     to_graph6,
@@ -66,42 +68,62 @@ _CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
-# orderly generation
+# canonical augmentation
 
-@cache
-def _subset_tables(k: int) -> tuple[list[int], list[int]]:
-    """Per-k tables over attachment subsets S of a k-vertex parent.
+# OEIS A001349: connected graphs on n unlabeled vertices, n = 0..9
+CONNECTED_COUNTS = (1, 1, 1, 2, 6, 21, 112, 853, 11117, 261080)
 
-    col[S] is the new vertex's column (bit i of S becomes bit k-1-i; the
-    map is its own inverse), lane[S] puts bit i of S into lane i.
+
+def _refine(rows, cells, active):
+    """The equitable refinement of the ordered partition cells (vertex
+    bitmasks), splitting by each splitter popped from active.
+
+    A cell splits by the number of neighbours its vertices have in the
+    splitter; the fragments take its place in ascending order of that
+    count and become splitters in turn.  No step looks at vertex numbers,
+    so relabeling the graph and the partition relabels the result.
     """
-    col = [int(f"{s:0{k}b}"[::-1], 2) for s in range(1 << k)]
-    lane = [0] * (1 << k)
-    for s in range(1, 1 << k):
-        low = s & -s
-        lane[s] = lane[s ^ low] | 1 << ((low.bit_length() - 1) << 4)
-    return col, lane
+    while active:
+        sp = active.pop()
+        out = []
+        for c in cells:
+            if c & (c - 1):
+                parts: dict[int, int] = {}
+                m = c
+                while m:
+                    low = m & -m
+                    m ^= low
+                    k = (rows[low.bit_length() - 1] & sp).bit_count()
+                    parts[k] = parts.get(k, 0) | low
+                if len(parts) > 1:
+                    frags = [parts[k] for k in sorted(parts)]
+                    out += frags
+                    active += frags
+                    continue
+            out.append(c)
+        cells = out
+    return cells
 
 
-def _canonical_search(rows, targets, spread):
-    """Lex-least test of one labeling: None if some vertex ordering gives
-    a smaller column-major bit string, otherwise the automorphisms the
-    search found (orbit-merging leaves and twin transpositions).
+def _search(rows, cells):
+    """Canonical labeling search from an equitable ordered partition that
+    every automorphism preserves.
 
-    Lane w of packed holds vertex w's column against the ordering chosen
-    so far, in 16 bits; targets[d] is the identity's column d repeated in
-    every lane, spread[v] puts bit v of each row in that row's lane, and
-    free holds bit 15 of the lane of every vertex not yet placed.  Lanes
-    never exceed 10 bits, so one subtraction compares every lane with the
-    target without a borrow crossing lanes.
+    Individualize a vertex of the first non-singleton cell, refine, and
+    recurse; the canonical leaf is the one with the greatest relabeled
+    rows.  At a node on the first path, a child in the orbit of an
+    explored child is skipped; below any other node, the first leaf that
+    relabels the rows as the first or the best leaf did yields an
+    automorphism and ends that child's subtree.  The automorphisms found
+    generate the whole group.
+
+    Returns the vertex at position 0 of the canonical labeling, the
+    generators and the orbit finder.
     """
     n = len(rows)
-    lo = ((1 << (n << 4)) - 1) // 0xFFFF
-    hi = lo << 15
     uf = list(range(n))
-    order = [0] * n
     gens = []
-    twins = set()
+    first = best = None  # (labeling, relabeled rows)
 
     def find(x):
         while uf[x] != x:
@@ -109,80 +131,104 @@ def _canonical_search(rows, targets, spread):
             x = uf[x]
         return x
 
-    def dfs(depth, free, packed):
-        if depth == n:
-            merged = False
-            for pos in range(n):
-                a, b = find(pos), find(order[pos])
-                if a != b:
-                    uf[a] = b
-                    merged = True
-            if merged:
-                gens.append(tuple(order))
-            return True
-        t = targets[depth]
-        if ((packed | hi) - t) & free != free:
-            # a free lane is below the target: a strictly smaller string
-            # exists under the equal prefix
+    def leaf(cells):
+        """True when the leaf gave an automorphism."""
+        nonlocal first, best
+        lab = [c.bit_length() - 1 for c in cells]
+        pos = [0] * n
+        for i, v in enumerate(lab):
+            pos[v] = i
+        cert = []
+        for v in lab:
+            r = 0
+            m = rows[v]
+            while m:
+                low = m & -m
+                m ^= low
+                r |= 1 << pos[low.bit_length() - 1]
+            cert.append(r)
+        if first is None:
+            first = best = (lab, cert)
             return False
-        ties = free & ~(((packed ^ t) | hi) - lo)
-        if not ties & (ties - 1):
-            if not ties:
+        for ref, ref_cert in (first, best):
+            if cert == ref_cert:
+                perm = [0] * n
+                for a, b in zip(ref, lab):
+                    perm[a] = b
+                gens.append(tuple(perm))
+                for a, b in enumerate(perm):
+                    a, b = find(a), find(b)
+                    if a != b:
+                        uf[a] = b
                 return True
-            v = (ties.bit_length() >> 4) - 1
-            order[depth] = v
-            return dfs(depth + 1, free ^ ties, (packed << 1) | spread[v])
-        tried: list[int] = []
-        while ties:
-            bit = ties & -ties
-            ties ^= bit
-            v = (bit.bit_length() >> 4) - 1
-            if depth == 0:
-                root = find(v)
-                if any(find(u) == root for u in tried):
+        if cert > best[1]:
+            best = (lab, cert)
+        return False
+
+    def visit(cells, on_first):
+        """True when an automorphism ended the search below a node off the
+        first path."""
+        t = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+        if t is None:
+            return leaf(cells)
+        cell = cells[t]
+        explored: list[int] = []
+        m = cell
+        while m:
+            low = m & -m
+            m ^= low
+            w = low.bit_length() - 1
+            if on_first and explored:
+                root = find(w)
+                if any(find(u) == root for u in explored):
                     continue
-            for u in tried:
-                if (rows[u] ^ rows[v]) & ~(1 << u | 1 << v) == 0:
-                    twins.add((u, v))
-                    break
-            else:
-                tried.append(v)
-                order[depth] = v
-                if not dfs(depth + 1, free ^ bit, (packed << 1) | spread[v]):
-                    return False
-        return True
+            found = visit(_refine(rows, cells[:t] + [low, cell ^ low]
+                                  + cells[t + 1:], [low]),
+                          on_first and not explored)
+            explored.append(w)
+            if found and not on_first:
+                return True
+        return False
 
-    if not dfs(0, hi, 0):
-        return None
-    for u, v in sorted(twins):
-        perm = list(range(n))
-        perm[u], perm[v] = v, u
-        gens.append(tuple(perm))
-    return gens
+    visit(cells, True)
+    return best[0][0], gens, find
 
 
-def _attachment_reps(k: int, gens, col) -> list[int] | range:
-    """Attachment subsets whose new column is least in their orbit under
-    the group the automorphisms gens generate, ascending.
+def _nbr_key(rows, deg, u):
+    """Degree of u, then the multiset of its neighbours' degrees, as one
+    integer that compares the degree first: the degree from bit 64 up,
+    below it a 4-bit count of neighbours per degree (exact up to order
+    16)."""
+    key = deg[u] << 64
+    m = rows[u]
+    while m:
+        low = m & -m
+        m ^= low
+        key += 1 << 4 * deg[low.bit_length() - 1]
+    return key
 
-    Relabeling a child P+S by an automorphism of P that fixes the new
-    vertex keeps every prefix column and turns the last one into
-    col(sigma(S)), so only the orbit's least column can be lex-least.
+
+def _attachment_reps(k: int, gens) -> list[int] | range:
+    """The least attachment subset S of each orbit of nonempty subsets of
+    a k-vertex parent under the group gens generate, ascending; the empty
+    subset alone when k = 0.
+
+    P+S and P+sigma(S) are isomorphic for every automorphism sigma of P,
+    so one subset per orbit gives every child class.
     """
     size = 1 << k
     if not gens:
-        return range(size)
+        return range(1 if k else 0, size)
     images = []
     for g in gens:
-        img = [0] * size
-        for s in range(1, size):
-            low = s & -s
-            img[s] = img[s ^ low] | 1 << g[low.bit_length() - 1]
+        img = [0]
+        for i in range(k):
+            bit = 1 << g[i]
+            img += [x | bit for x in img]
         images.append(img)
     seen = bytearray(size)
     reps = []
-    for c in range(size):
-        s = col[c]
+    for s in range(1, size):
         if seen[s]:
             continue
         seen[s] = 1
@@ -195,68 +241,146 @@ def _attachment_reps(k: int, gens, col) -> list[int] | range:
                 if not seen[y]:
                     seen[y] = 1
                     stack.append(y)
-    reps.sort()
     return reps
 
 
-def _canonical_children(rows: tuple[int, ...], gens):
-    """The canonical one-vertex extensions of a canonical labeling, each
-    with the automorphisms its test found, in attachment-subset order.
+def _children(rows: tuple[int, ...], gens, last: bool = False):
+    """The accepted one-vertex extensions P+S of a connected parent P, in
+    attachment-subset order, each with generators of its automorphism
+    group.  When last, generators are found only where _decide searched
+    and () stands for them elsewhere.
 
-    gens are automorphisms of the parent; passing none tests every
-    subset.  The parent's columns and lanes are built once; a child adds
-    one bit to each lane and takes the new vertex's lane from a table.
+    gens are automorphisms of P; passing none tests every subset.  A child
+    whose new vertex v is of smaller degree than some non-cut vertex is
+    rejected here, before its rows are built.
     """
     k = len(rows)
-    col, lane = _subset_tables(k)
-    lo = ((1 << ((k + 1) << 4)) - 1) // 0xFFFF
-    targets = []
-    for j in range(k):
-        c = 0
-        for i in range(j):
-            c = (c << 1) | (rows[j] >> i & 1)
-        targets.append(c * lo)
-    spread = [
-        sum(((rows[w] >> v) & 1) << (w << 4) for w in range(k))
-        for v in range(k)
-    ]
-    top = k << 4
-    for s in _attachment_reps(k, gens, col):
-        child = tuple(
-            r | ((s >> i & 1) << k) for i, r in enumerate(rows)) + (s,)
-        lanes = [sp | ((s >> v & 1) << top) for v, sp in enumerate(spread)]
-        lanes.append(lane[s])
-        found = _canonical_search(child, targets + [col[s] * lo], lanes)
-        if found is not None:
-            yield child, found
+    pdeg = [r.bit_count() for r in rows]
+    # u is a non-cut vertex of P+S iff S meets every component of P-u; for
+    # a non-cut vertex of P (k > 1) that fails only when S = {u}
+    pcut = []
+    for u in range(k):
+        comps = _components(rows, ((1 << k) - 1) ^ 1 << u)
+        if len(comps) > 1:
+            pcut.append((u, comps))
+    for s in _attachment_reps(k, gens):
+        dv = s.bit_count()
+        cut = s if dv == 1 and k > 1 else 0
+        for u, comps in pcut:
+            if not all(c & s for c in comps):
+                cut |= 1 << u
+        ties = 0
+        for u, d in enumerate(pdeg):
+            d += s >> u & 1
+            if d >= dv and not cut >> u & 1:
+                if d > dv:
+                    break
+                ties |= 1 << u
+        else:
+            child = tuple(r | 1 << k if s >> i & 1 else r
+                          for i, r in enumerate(rows)) + (s,)
+            found = _decide(child, ties, last)
+            if found is not None:
+                yield child, found
 
 
-def _canonical_level(n: int) -> list[tuple[tuple[int, ...], list]]:
-    """All canonical labeled graphs on exactly n vertices, each with the
-    automorphisms its canonical test found; level 0 is the empty graph."""
+def _decide(child, ties, last: bool):
+    """Whether the new vertex v (the last) of a connected child is in the
+    orbit of the canonical deletion vertex: None if not, else generators
+    of the child's automorphism group, or () at the last level unless a
+    search ran.
+
+    No non-cut vertex has a greater degree than v, and ties masks the
+    other non-cut vertices of v's degree.  The deletion vertex is the
+    non-cut vertex of greatest _nbr_key; among ties, it is the first
+    vertex of the canonical labeling in the first cell of the refined
+    partition, the cell that holds only tied vertices.  The cheapest test
+    that settles it decides: the key; the refined cell; at the last level,
+    a cell of v and its twins; else _search.
+    """
+    v = len(child) - 1
+    bit_v = 1 << v
+    deg = [r.bit_count() for r in child]
+    tied = bit_v
+    if ties:
+        kv = _nbr_key(child, deg, v)
+        while ties:
+            low = ties & -ties
+            ties ^= low
+            ku = _nbr_key(child, deg, low.bit_length() - 1)
+            if ku > kv:
+                return None
+            if ku == kv:
+                tied |= low
+    if last and tied == bit_v:
+        return ()
+    keyed: dict[int, int] = {}
+    for u in range(v):
+        if not tied >> u & 1:
+            key = _nbr_key(child, deg, u)
+            keyed[key] = keyed.get(key, 0) | 1 << u
+    cells = [tied] + [keyed[key] for key in sorted(keyed)]
+    cells = _refine(child, cells, cells[:])
+    cell = cells[0]
+    if not cell & bit_v:
+        return None
+    if last and all(not (child[u] ^ child[v]) & ~(1 << u | bit_v)
+                    for u in range(v) if cell >> u & 1):
+        # v alone, or v and its twins: one orbit
+        return ()
+    m, gens, find = _search(child, cells)
+    return gens if find(m) == find(v) else None
+
+
+def _components(rows, mask: int) -> list[int]:
+    """Vertex masks of the components of the subgraph induced on mask."""
+    comps = []
+    while mask:
+        comp = _bfs_reach(rows, (mask & -mask).bit_length() - 1, mask)
+        comps.append(comp)
+        mask ^= comp
+    return comps
+
+
+def _check_count(what: str, n: int, count: int) -> None:
+    """Raise unless count is A001349(n)."""
+    if count != CONNECTED_COUNTS[n]:
+        raise RuntimeError(
+            f"{what}: {count} connected graphs of order {n}, but "
+            f"A001349({n}) = {CONNECTED_COUNTS[n]}")
+
+
+def _level(n: int) -> list[tuple[tuple[int, ...], list]]:
+    """One labeled connected graph per class on n vertices, each with
+    generators of its automorphism group; level 0 is the empty graph.
+    Every level is checked against A001349."""
     level = [((), [])]
-    for _ in range(n):
-        level = [c for rows, gens in level
-                 for c in _canonical_children(rows, gens)]
+    for k in range(1, n + 1):
+        level = [c for rows, gens in level for c in _children(rows, gens)]
+        _check_count("level", k, len(level))
     return level
 
 
+def _parents(n: int) -> list[tuple[tuple[int, ...], list]]:
+    """Level n-1, the parents of the connected graphs of order n."""
+    if not 1 <= n <= BUILTIN_MAX_ORDER:
+        raise ValueError(
+            f"built-in generation covers 1..{BUILTIN_MAX_ORDER} vertices; "
+            "supply an external graph6 stream for larger orders")
+    return _level(n - 1)
+
+
 def _connected_children(parents):
-    """Connected canonical children of (rows, automorphisms) parents."""
+    """The order-n graphs from (rows, generators) parents of order n-1."""
     for rows, gens in parents:
-        for child, _ in _canonical_children(rows, gens):
-            if _bfs_reach(child, 0) == (1 << len(child)) - 1:
-                yield Graph(len(child), child)
+        for child, _ in _children(rows, gens, last=True):
+            yield Graph(len(child), child)
 
 
 def enumerate_connected(n: int):
     """One representative per isomorphism class of connected graphs on n
     vertices, for 1 <= n <= 9."""
-    if not 1 <= n <= BUILTIN_MAX_ORDER:
-        raise ValueError(
-            f"built-in generation covers 1..{BUILTIN_MAX_ORDER} vertices; "
-            "supply an external graph6 stream for larger orders")
-    yield from _connected_children(_canonical_level(n - 1))
+    yield from _connected_children(_parents(n))
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +549,15 @@ def cospectral_classes(stream, jobs: int = 1) -> CospectralClasses:
 
 def cospectral_classes_builtin(n: int, jobs: int = 1) -> CospectralClasses:
     """Classes over all connected graphs of order n from the built-in
-    generator; level n-1 is split into parent slices, one task each."""
-    if not 1 <= n <= BUILTIN_MAX_ORDER:
-        raise ValueError(
-            f"built-in generation covers 1..{BUILTIN_MAX_ORDER} vertices")
-    parents = _canonical_level(n - 1)
+    generator; level n-1 is split into parent slices, one task each.
+    Raises RuntimeError unless both levels hold A001349 graphs."""
+    parents = _parents(n)
     jobs = _pool_size(jobs)
     # one serial task keeps a single part dict; workers get 8 slices each
     step = max(1, len(parents) // (jobs * 8)) if jobs > 1 else len(parents)
     tasks = [parents[i:i + step] for i in range(0, len(parents), step)]
     total, acc = _classify(_children_part, tasks, jobs)
+    _check_count("class table", n, total)
     return _finish(n, acc, total)
 
 
@@ -444,8 +567,9 @@ def cospectral_classes_builtin(n: int, jobs: int = 1) -> CospectralClasses:
 def ingest_graph6(path, on_error=None):
     """Stream graphs from a file of graph6 lines.
 
-    Blank lines are skipped; malformed lines are reported through on_error
-    (line number, message) and the stream continues.
+    Blank lines are skipped; malformed lines and disconnected graphs,
+    which have no distance matrix, are reported through on_error (line
+    number, message) and the stream continues.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -453,10 +577,16 @@ def ingest_graph6(path, on_error=None):
             if not text:
                 continue
             try:
-                yield from_graph6(text)
+                g = from_graph6(text)
             except Exception as exc:  # malformed line; keep streaming
-                if on_error is not None:
-                    on_error(lineno, str(exc))
+                problem = str(exc)
+            else:
+                if is_connected(g):
+                    yield g
+                    continue
+                problem = "disconnected graph"
+            if on_error is not None:
+                on_error(lineno, problem)
 
 
 # ---------------------------------------------------------------------------

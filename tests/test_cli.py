@@ -1,5 +1,6 @@
 """End-to-end CLI: exit codes, formats, determinism, JSON schema."""
 
+import hashlib
 import json
 import os
 
@@ -267,6 +268,30 @@ class TestMateSearch:
         assert code == 0
         doc = json.loads(out)
         assert len(doc["input_diagnostics"]) == 1
+
+    def test_disconnected_line_is_a_diagnostic(self, capsys, tmp_path):
+        # D?? is the empty graph on five vertices
+        path = tmp_path / "n4.g6"
+        good = [to_graph6(g) for g in enumerate_connected(4)]
+        path.write_text("\n".join(good[:3] + ["D??"] + good[3:]) + "\n")
+        code, out, _ = run_cli(capsys, "mate-search", "--n", "4",
+                               "--input", str(path), "--no-timestamp")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["input_diagnostics"] == ["line 4: disconnected graph"]
+        assert doc["total_graphs"] == 6
+
+    @pytest.mark.parametrize("n,digest", [
+        (7, "adb23a7ef007ebebe8bdd2ac1323cd10fd7c6237ef5ce53ba4a655d7ab5a87ba"),
+        (8, "c902e27686badf31e61228d21bf4fc05cd2b4fc8562090e15676da1c70b8071d"),
+    ])
+    def test_csv_golden(self, capsys, n, digest):
+        # fingerprint digests and class sizes only, so any member
+        # labelings give the same bytes
+        code, out, _ = run_cli(capsys, "mate-search", "--n", str(n),
+                               "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_external_source_keeps_parse_errors(self, capsys, tmp_path):
         path = tmp_path / "n5.g6"

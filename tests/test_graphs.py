@@ -43,6 +43,15 @@ class TestGraphType:
         with pytest.raises(GraphError):
             Graph(2, (0b10, 0b00))
 
+    def test_rejects_one_flipped_bit_in_either_triangle(self):
+        rows = list(named_graph("P", 4).rows)
+        for i, j in ((0, 2), (2, 0)):
+            flipped = rows.copy()
+            flipped[i] ^= 1 << j
+            with pytest.raises(GraphError,
+                               match=r"not symmetric at \(0,2\)"):
+                Graph(4, tuple(flipped))
+
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError):
             Graph(1, (0b1,))

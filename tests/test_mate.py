@@ -2,7 +2,7 @@
 
 import json
 import random
-from itertools import combinations
+from itertools import combinations, islice, permutations
 
 import pytest
 
@@ -97,42 +97,101 @@ class TestEnumeration:
             next(enumerate_connected(0))
 
 
+def _iso_classes(graphs, n):
+    """One representative per isomorphism class of graphs (bit rows), by
+    the brute-force oracle."""
+    buckets = {}
+    for rows in graphs:
+        bucket = buckets.setdefault(_bf_invariant(rows, n), [])
+        if not any(_bf_isomorphic(rows, rep, n) for rep in bucket):
+            bucket.append(rows)
+    return [rep for bucket in buckets.values() for rep in bucket]
+
+
+def _group_order(gens, n):
+    """Order of the permutation group gens generate, by closure."""
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[p[i]] for i in range(n))
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return len(seen)
+
+
+def _bf_aut_order(rows, n):
+    return sum(all((rows[p[i]] >> p[j] & 1) == (rows[i] >> j & 1)
+                   for i in range(n) for j in range(i + 1, n))
+               for p in permutations(range(n)))
+
+
 class TestOrderlyGenerator:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_level_counts(self, n):
-        assert len(mate._canonical_level(n)) == GRAPH_COUNTS[n]
+        # the intermediate levels (with automorphism searches) and the
+        # last level (without) against A001349
+        assert len(mate._level(n)) == CONNECTED_COUNTS[n]
+        assert (sum(1 for _ in enumerate_connected(n))
+                == CONNECTED_COUNTS[n])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_kept_labelings_are_lex_least(self, n):
-        kept = {rows for rows, _ in mate._canonical_level(n)}
-        oracle = {bf_lex_least(rows, n)
-                  for rows in bf_class_reps(n, connected=False)}
-        assert kept == oracle
+        # the kept labelings, each taken to its lex-least form, are the
+        # brute-force classes, once each
+        kept = sorted(bf_lex_least(rows, n) for rows, _ in mate._level(n))
+        last = sorted(bf_lex_least(g.rows, n) for g in enumerate_connected(n))
+        oracle = sorted(bf_lex_least(rows, n) for rows in bf_class_reps(n))
+        assert kept == last == oracle
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_pruning_keeps_the_unpruned_children(self, n):
         skipped = 0
-        for rows, gens in mate._canonical_level(n - 1):
+        for rows, gens in mate._level(n - 1):
             k = len(rows)
-            unpruned = [c for c, _ in mate._canonical_children(rows, [])]
-            pruned = [c for c, _ in mate._canonical_children(rows, gens)]
-            assert pruned == unpruned
-            reps = set(mate._attachment_reps(
-                k, gens, mate._subset_tables(k)[0]))
-            for s in set(range(1 << k)) - reps:
-                child = tuple(r | (s >> i & 1) << k
-                              for i, r in enumerate(rows)) + (s,)
-                assert child not in unpruned
-                skipped += 1
+            for last in (False, True):
+                unpruned = [c for c, _ in mate._children(rows, [], last)]
+                pruned = [c for c, _ in mate._children(rows, gens, last)]
+                assert set(pruned) <= set(unpruned)
+                classes = _iso_classes(pruned, n)
+                assert len(classes) == len(pruned)
+                assert len(_iso_classes(classes + unpruned, n)) \
+                    == len(classes)
+            reps = set(mate._attachment_reps(k, gens))
+            skipped += (1 << k) - 1 - len(reps)
         assert skipped or n <= 3
 
-    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("n", [3, 5, 6, 7])
     def test_kept_automorphisms_are_automorphisms(self, n):
-        for rows, gens in mate._canonical_level(n):
+        for rows, gens in mate._level(n):
             for g in gens:
                 assert sorted(g) == list(range(n))
                 assert all((rows[g[i]] >> g[j] & 1) == (rows[i] >> j & 1)
                            for i in range(n) for j in range(n))
+            if n <= 6:
+                # the generators span the whole group
+                assert _group_order(gens, n) == _bf_aut_order(rows, n)
+
+    def test_count_gate(self, monkeypatch):
+        # a parent built without one of its generators gives duplicate
+        # children, and the program refuses the level
+        reps = mate._attachment_reps
+        monkeypatch.setattr(mate, "_attachment_reps",
+                            lambda k, gens: reps(k, gens[1:]))
+        with pytest.raises(RuntimeError, match="A001349"):
+            cospectral_classes_builtin(6)
+        monkeypatch.undo()
+        # the class table's own total: one graph lost in the last level
+        children = mate._connected_children
+        monkeypatch.setattr(mate, "_connected_children",
+                            lambda parents: islice(children(parents), 1, None))
+        with pytest.raises(RuntimeError, match="class table: 111"):
+            cospectral_classes_builtin(6)
 
 
 class TestEnumerationSpotCheckN8:
