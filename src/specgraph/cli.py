@@ -188,31 +188,35 @@ def cmd_mate_search(args) -> int:
 
     verdict = None
     if a is not None:
+        check = mate.stream_ds_verdict if args.input else mate.ds_verdict
         try:
-            verdict = mate.ds_verdict(a, b, classes=classes)
+            verdict = check(a, b, classes=classes)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
 
-    doc = classes.to_json_dict()
-    if errors:
-        doc["input_diagnostics"] = errors
-    if verdict is not None:
-        doc["ds"] = verdict.to_json_dict()
-
     if args.format == "json":
+        doc = classes.to_json_dict()
+        if errors:
+            doc["input_diagnostics"] = errors
+        if verdict is not None:
+            doc["ds"] = verdict.to_json_dict()
         _emit(args, _json_text(_stamp(doc, args)))
     elif args.format == "csv":
         _emit(args, classes.to_csv())
     else:
+        multi = sum(len(m) > 1 for m in classes.classes.values())
         lines = [f"order {classes.order}: {classes.total} graphs, "
-                 f"{len(classes.classes)} charpoly classes"]
-        multi = [c for c in doc["classes"] if len(c["members"]) > 1]
-        lines.append(f"classes with cospectral mates: {len(multi)}")
+                 f"{len(classes.classes)} charpoly classes",
+                 f"classes with cospectral mates: {multi}"]
         if verdict is not None:
-            word = "PASS" if verdict.ok else "FAIL"
-            lines.append(
-                f"DS: {word}, class size {verdict.details['class_size']} "
-                f"of {classes.total} graphs")
+            line = (f"DS: {verdict.status.upper()}, class size "
+                    f"{verdict.details['class_size']} of {classes.total} "
+                    "graphs")
+            if verdict.status == "inconclusive":
+                want = verdict.details["expected_graphs"]
+                line += (f" ({verdict.details['distinct_graphs']} distinct,"
+                         f" {'unknown' if want is None else want} expected)")
+            lines.append(line)
         _emit(args, "\n".join(lines))
     return 0 if verdict is None or verdict.ok else 1
 

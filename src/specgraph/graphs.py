@@ -2,8 +2,9 @@
 
 Vertices are 0..n-1 and each adjacency row is one Python int used as a
 bitmask, so n is capped at 64.  Everything here is immutable and pure:
-graphs, BFS distance matrices, the graph6 codec and a backtracking
-induced-subgraph matcher for graphs of at most ~10 vertices.
+graphs, BFS distance matrices, the graph6 codec and the one isomorphism
+engine, a canonical labeling search whose form decides isomorphism and
+whose automorphism generators drive generation in specgraph.mate.
 
 Named families:
 
@@ -93,9 +94,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(self.degree(v) for v in range(self.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,68 +319,161 @@ def distance_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# induced-subgraph isomorphism (backtracking, degree pruning; target <= ~10)
+# canonical labeling (McKay & Piperno, "Practical graph isomorphism II",
+# J. Symbolic Comput. 60, 2014)
 
-def find_induced_embedding(g: Graph, h: Graph):
-    """Map of V(h) into V(g) inducing a copy of h, or None.
+def _nbr_key(rows, deg, u):
+    """Degree of u, then the multiset of its neighbours' degrees, as one
+    integer that compares the degree first: the degree from bit 64 up,
+    below it a 4-bit count of neighbours per degree (exact up to order
+    16, and an invariant of u at any order)."""
+    key = deg[u] << 64
+    m = rows[u]
+    while m:
+        low = m & -m
+        m ^= low
+        key += 1 << 4 * deg[low.bit_length() - 1]
+    return key
 
-    Backtracking over h's vertices in a connectivity-friendly order, with
-    degree pruning: an image must have at least the pattern vertex's degree.
+
+def _refine(rows, cells, active):
+    """The equitable refinement of the ordered partition cells (vertex
+    bitmasks), splitting by each splitter popped from active.
+
+    A cell splits by the number of neighbours its vertices have in the
+    splitter; the fragments take its place in ascending order of that
+    count and become splitters in turn.  No step looks at vertex numbers,
+    so relabeling the graph and the partition relabels the result.
     """
-    if h.n > g.n:
-        return None
-    # order h's vertices so each (after the first) touches a previous one
-    order = [max(range(h.n), key=h.degree)]
-    placed = 1 << order[0]
-    while len(order) < h.n:
-        nxt = None
-        for v in range(h.n):
-            if placed >> v & 1:
-                continue
-            if h.rows[v] & placed:
-                nxt = v
-                break
-        if nxt is None:  # h disconnected; take any leftover
-            nxt = next(v for v in range(h.n) if not placed >> v & 1)
-        order.append(nxt)
-        placed |= 1 << nxt
+    while active:
+        sp = active.pop()
+        out = []
+        for c in cells:
+            if c & (c - 1):
+                parts: dict[int, int] = {}
+                m = c
+                while m:
+                    low = m & -m
+                    m ^= low
+                    k = (rows[low.bit_length() - 1] & sp).bit_count()
+                    parts[k] = parts.get(k, 0) | low
+                if len(parts) > 1:
+                    frags = [parts[k] for k in sorted(parts)]
+                    out += frags
+                    active += frags
+                    continue
+            out.append(c)
+        cells = out
+    return cells
 
-    gdeg = [g.degree(v) for v in range(g.n)]
-    hdeg = [h.degree(v) for v in range(h.n)]
-    image = {}
-    used = 0
 
-    def extend(idx):
-        nonlocal used
-        if idx == len(order):
-            return True
-        hv = order[idx]
-        for gv in range(g.n):
-            if used >> gv & 1 or gdeg[gv] < hdeg[hv]:
-                continue
-            ok = True
-            for hu, gu in image.items():
-                if h.adjacent(hu, hv) != g.adjacent(gu, gv):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[hv] = gv
-            used |= 1 << gv
-            if extend(idx + 1):
-                return True
-            del image[hv]
-            used &= ~(1 << gv)
+def _search(rows, cells):
+    """Canonical labeling search from an equitable ordered partition that
+    every automorphism preserves.
+
+    Individualize a vertex of the first non-singleton cell, refine, and
+    recurse; the canonical leaf is the one with the greatest relabeled
+    rows.  At a node on the first path, a child in the orbit of an
+    explored child is skipped.  A leaf that relabels the rows as the
+    first or the best leaf did yields an automorphism; only a match with
+    the first leaf ends the search back to the first path, because the
+    best leaf's path may part from it deeper down.  The automorphisms
+    found generate the whole group.
+
+    Returns the canonical leaf as (labeling, certificate), the
+    generators and the orbit finder.
+    """
+    n = len(rows)
+    uf = list(range(n))
+    gens = []
+    first = best = None  # (labeling, relabeled rows)
+
+    def find(x):
+        while uf[x] != x:
+            uf[x] = uf[uf[x]]
+            x = uf[x]
+        return x
+
+    def leaf(cells):
+        """True when the leaf matched the first leaf."""
+        nonlocal first, best
+        lab = [c.bit_length() - 1 for c in cells]
+        pos = [0] * n
+        for i, v in enumerate(lab):
+            pos[v] = i
+        cert = []
+        for v in lab:
+            r = 0
+            m = rows[v]
+            while m:
+                low = m & -m
+                m ^= low
+                r |= 1 << pos[low.bit_length() - 1]
+            cert.append(r)
+        if first is None:
+            first = best = (lab, cert)
+            return False
+        for ref, ref_cert in (first, best):
+            if cert == ref_cert:
+                perm = [0] * n
+                for a, b in zip(ref, lab):
+                    perm[a] = b
+                gens.append(tuple(perm))
+                for a, b in enumerate(perm):
+                    a, b = find(a), find(b)
+                    if a != b:
+                        uf[a] = b
+                return ref is first[0]
+        if cert > best[1]:
+            best = (lab, cert)
         return False
 
-    return dict(image) if extend(0) else None
+    def visit(cells, on_first):
+        """True when a first-leaf match ended the search below a node off
+        the first path."""
+        t = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+        if t is None:
+            return leaf(cells)
+        cell = cells[t]
+        explored: list[int] = []
+        m = cell
+        while m:
+            low = m & -m
+            m ^= low
+            w = low.bit_length() - 1
+            if on_first and explored:
+                root = find(w)
+                if any(find(u) == root for u in explored):
+                    continue
+            found = visit(_refine(rows, cells[:t] + [low, cell ^ low]
+                                  + cells[t + 1:], [low]),
+                          on_first and not explored)
+            explored.append(w)
+            if found and not on_first:
+                return True
+        return False
+
+    visit(cells, True)
+    return best, gens, find
+
+
+def canonical_form(g: Graph) -> tuple[int, ...]:
+    """The rows of g relabeled by its canonical labeling: equal for two
+    graphs of one order iff they are isomorphic.
+
+    The search starts from the equitable refinement of the partition into
+    cells of equal _nbr_key, in ascending key order.
+    """
+    rows = g.rows
+    deg = [r.bit_count() for r in rows]
+    keyed: dict[int, int] = {}
+    for u in range(g.n):
+        key = _nbr_key(rows, deg, u)
+        keyed[key] = keyed.get(key, 0) | 1 << u
+    cells = [keyed[key] for key in sorted(keyed)]
+    (_, cert), _, _ = _search(rows, _refine(rows, cells, cells[:]))
+    return tuple(cert)
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return False
-    if g.degree_sequence() != h.degree_sequence():
-        return False
-    # an induced embedding between equal-order, equal-size graphs is an
-    # isomorphism
-    return find_induced_embedding(g, h) is not None
+    return g.n == h.n and canonical_form(g) == canonical_form(h)

@@ -15,10 +15,11 @@ The orbit question is settled by the cheapest test that decides it: the
 degree and the multiset of neighbour degrees over non-cut vertices; then
 the first cell of tied vertices after equitable refinement, whose cells
 are ordered by invariants, never by vertex numbers; at the last level, a
-cell that holds only the new vertex and its twins; and only then a small
-canonical labeling search (refinement, individualization, automorphism
-pruning), which every graph kept at an intermediate level also gets for
-its automorphism generators.  Every level the program builds, and the
+cell that holds only the new vertex and its twins; and only then the
+canonical labeling search of specgraph.graphs (refinement,
+individualization, automorphism pruning), the package's one isomorphism
+engine, which every graph kept at an intermediate level also gets for its
+automorphism generators.  Every level the program builds, and the
 class table's total, is checked against A001349: an incomplete generating
 set would give duplicate children, a wrong deletion rule would lose
 classes.
@@ -39,6 +40,10 @@ parent.  The built-in source is level n-1 cut into slices of parents,
 each task generating its own connected children; the graph6 source is the
 stream cut into chunks as it is read, so on a pool the workers start on
 the first chunks while the rest are still being parsed.
+
+A determined-by-spectrum verdict from a stream, unlike one from the
+built-in table, passes only if the stream holds exactly A001349(n)
+graphs with pairwise distinct canonical forms; else it is inconclusive.
 """
 
 from __future__ import annotations
@@ -54,6 +59,10 @@ from .exactpoly import IntPoly, charpoly_rows
 from .graphs import (
     Graph,
     _bfs_reach,
+    _nbr_key,
+    _refine,
+    _search,
+    canonical_form,
     distance_matrix,
     from_graph6,
     is_connected,
@@ -70,142 +79,8 @@ _CHUNK = 4096
 # ---------------------------------------------------------------------------
 # canonical augmentation
 
-# OEIS A001349: connected graphs on n unlabeled vertices, n = 0..9
-CONNECTED_COUNTS = (1, 1, 1, 2, 6, 21, 112, 853, 11117, 261080)
-
-
-def _refine(rows, cells, active):
-    """The equitable refinement of the ordered partition cells (vertex
-    bitmasks), splitting by each splitter popped from active.
-
-    A cell splits by the number of neighbours its vertices have in the
-    splitter; the fragments take its place in ascending order of that
-    count and become splitters in turn.  No step looks at vertex numbers,
-    so relabeling the graph and the partition relabels the result.
-    """
-    while active:
-        sp = active.pop()
-        out = []
-        for c in cells:
-            if c & (c - 1):
-                parts: dict[int, int] = {}
-                m = c
-                while m:
-                    low = m & -m
-                    m ^= low
-                    k = (rows[low.bit_length() - 1] & sp).bit_count()
-                    parts[k] = parts.get(k, 0) | low
-                if len(parts) > 1:
-                    frags = [parts[k] for k in sorted(parts)]
-                    out += frags
-                    active += frags
-                    continue
-            out.append(c)
-        cells = out
-    return cells
-
-
-def _search(rows, cells):
-    """Canonical labeling search from an equitable ordered partition that
-    every automorphism preserves.
-
-    Individualize a vertex of the first non-singleton cell, refine, and
-    recurse; the canonical leaf is the one with the greatest relabeled
-    rows.  At a node on the first path, a child in the orbit of an
-    explored child is skipped; below any other node, the first leaf that
-    relabels the rows as the first or the best leaf did yields an
-    automorphism and ends that child's subtree.  The automorphisms found
-    generate the whole group.
-
-    Returns the vertex at position 0 of the canonical labeling, the
-    generators and the orbit finder.
-    """
-    n = len(rows)
-    uf = list(range(n))
-    gens = []
-    first = best = None  # (labeling, relabeled rows)
-
-    def find(x):
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
-    def leaf(cells):
-        """True when the leaf gave an automorphism."""
-        nonlocal first, best
-        lab = [c.bit_length() - 1 for c in cells]
-        pos = [0] * n
-        for i, v in enumerate(lab):
-            pos[v] = i
-        cert = []
-        for v in lab:
-            r = 0
-            m = rows[v]
-            while m:
-                low = m & -m
-                m ^= low
-                r |= 1 << pos[low.bit_length() - 1]
-            cert.append(r)
-        if first is None:
-            first = best = (lab, cert)
-            return False
-        for ref, ref_cert in (first, best):
-            if cert == ref_cert:
-                perm = [0] * n
-                for a, b in zip(ref, lab):
-                    perm[a] = b
-                gens.append(tuple(perm))
-                for a, b in enumerate(perm):
-                    a, b = find(a), find(b)
-                    if a != b:
-                        uf[a] = b
-                return True
-        if cert > best[1]:
-            best = (lab, cert)
-        return False
-
-    def visit(cells, on_first):
-        """True when an automorphism ended the search below a node off the
-        first path."""
-        t = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
-        if t is None:
-            return leaf(cells)
-        cell = cells[t]
-        explored: list[int] = []
-        m = cell
-        while m:
-            low = m & -m
-            m ^= low
-            w = low.bit_length() - 1
-            if on_first and explored:
-                root = find(w)
-                if any(find(u) == root for u in explored):
-                    continue
-            found = visit(_refine(rows, cells[:t] + [low, cell ^ low]
-                                  + cells[t + 1:], [low]),
-                          on_first and not explored)
-            explored.append(w)
-            if found and not on_first:
-                return True
-        return False
-
-    visit(cells, True)
-    return best[0][0], gens, find
-
-
-def _nbr_key(rows, deg, u):
-    """Degree of u, then the multiset of its neighbours' degrees, as one
-    integer that compares the degree first: the degree from bit 64 up,
-    below it a 4-bit count of neighbours per degree (exact up to order
-    16)."""
-    key = deg[u] << 64
-    m = rows[u]
-    while m:
-        low = m & -m
-        m ^= low
-        key += 1 << 4 * deg[low.bit_length() - 1]
-    return key
+# OEIS A001349: connected graphs on n unlabeled vertices, n = 0..10
+CONNECTED_COUNTS = (1, 1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571)
 
 
 def _attachment_reps(k: int, gens) -> list[int] | range:
@@ -328,8 +203,8 @@ def _decide(child, ties, last: bool):
                     for u in range(v) if cell >> u & 1):
         # v alone, or v and its twins: one orbit
         return ()
-    m, gens, find = _search(child, cells)
-    return gens if find(m) == find(v) else None
+    (lab, _), gens, find = _search(child, cells)
+    return gens if find(lab[0]) == find(v) else None
 
 
 def _components(rows, mask: int) -> list[int]:
@@ -612,14 +487,14 @@ def ds_verdict(a: int, b: int,
     target = named_graph("T", a, b)
     fp = fingerprint(target)
     members = classes.classes.get(fp, ())
+    mates = [g6 for g6 in members
+             if not is_isomorphic(from_graph6(g6), target)]
     witnesses = []
     if len(members) != 1:
-        mates = [g6 for g6 in members
-                 if not is_isomorphic(from_graph6(g6), target)]
         witnesses.append({"check": "unique fingerprint class",
                           "class_size": len(members),
                           "cospectral_mates": mates})
-    elif not is_isomorphic(from_graph6(members[0]), target):
+    elif mates:
         witnesses.append({"check": "class member is T(a,b)",
                           "member": members[0]})
     details = {
@@ -631,3 +506,26 @@ def ds_verdict(a: int, b: int,
     }
     return VerificationResult(f"ds:T({a},{b})",
                               "fail" if witnesses else "pass", details)
+
+
+def stream_ds_verdict(a: int, b: int,
+                      classes: CospectralClasses) -> VerificationResult:
+    """ds_verdict against a class table read from a graph6 stream.
+
+    A stream covers every connected graph of order n only if it holds
+    exactly A001349(n), known for n <= 10, pairwise non-isomorphic ones.
+    Any other stream gives an inconclusive verdict that carries the
+    expected and the distinct counts.
+    """
+    verdict = ds_verdict(a, b, classes)
+    n = classes.order
+    expected = CONNECTED_COUNTS[n] if n < len(CONNECTED_COUNTS) else None
+    # isomorphic graphs are cospectral: only shared classes need forms
+    distinct = sum(len({canonical_form(from_graph6(g6)) for g6 in members})
+                   if len(members) > 1 else 1
+                   for members in classes.classes.values())
+    if classes.total == distinct == expected:
+        return verdict
+    details = dict(verdict.details, expected_graphs=expected,
+                   distinct_graphs=distinct)
+    return VerificationResult(verdict.lemma, "inconclusive", details)

@@ -28,12 +28,13 @@ from .exactpoly import (
 from .graphs import distance_matrix, named_graph
 from .spectra import PAPER_TOL, Spectrum, eigenvalues_sym
 
-# index bounds every principal submatrix of the target's distance matrix
-# must satisfy: lambda2 < 0, lambda3 < -0.4226, lambda4 < -1.5774, and an
-# exact -2 run at positions 5..m-1
-BOUND2, BOUND3, BOUND4 = 0.0, -0.4226, -1.5774
-
-T11_VALUES = (8.2882, -0.5578, -0.7639, -1.7304, -5.2361)
+# T(a,b)'s interval table (forms): the lower bounds it inherits from
+# T(1,1), and the upper bounds every principal submatrix of its distance
+# matrix must satisfy besides an exact -2 run at positions 5..m-1
+_T11_LOWS = ((1, forms.LAMBDA1_LOW), (2, forms.LAMBDA2_LOW),
+             (3, forms.LAMBDA3_LOW), (4, forms.LAMBDA4_LOW))
+_UPPER_BOUNDS = ((2, forms.LAMBDA2_HIGH), (3, forms.LAMBDA3_HIGH),
+                 (4, forms.LAMBDA4_HIGH))
 
 EXPECTED_EXCEPTIONS = {
     "H1": (),
@@ -114,26 +115,18 @@ def verify_interlacing_bounds(max_ab: int = 8) -> VerificationResult:
     for a in range(1, max_ab + 1):
         for b in range(1, max_ab + 1):
             s = eigenvalues_sym(distance_matrix(named_graph("T", a, b)))
-            checks = [
-                ("lambda1 >= 8.2882", s.nth(1) >= T11_VALUES[0] - PAPER_TOL),
-                ("lambda2 >= -0.5578", s.nth(2) >= T11_VALUES[1] - PAPER_TOL),
-                ("lambda3 >= -0.7639", s.nth(3) >= T11_VALUES[2] - PAPER_TOL),
-                ("lambda4 >= -1.7304", s.nth(4) >= T11_VALUES[3] - PAPER_TOL),
-                ("lambda_n <= -5.2361", s.nth(s.n) <= T11_VALUES[4] + PAPER_TOL),
-            ]
+            checks = [(f"lambda{k} >= {low:g}", s.nth(k) >= low - PAPER_TOL)
+                      for k, low in _T11_LOWS]
+            checks.append((f"lambda_n <= {forms.LAMBDA_N_HIGH:g}",
+                           s.nth(s.n) <= forms.LAMBDA_N_HIGH + PAPER_TOL))
             c = max(a, b)
             if c not in tcc_cache:
                 tcc_cache[c] = eigenvalues_sym(
                     distance_matrix(named_graph("T", c, c)))
             t = tcc_cache[c]
-            checks += [
-                ("lambda2 <= lambda2(Tcc) < 0",
-                 s.nth(2) <= t.nth(2) + 1e-9 and t.nth(2) < BOUND2),
-                ("lambda3 <= lambda3(Tcc) < -0.4226",
-                 s.nth(3) <= t.nth(3) + 1e-9 and t.nth(3) < BOUND3),
-                ("lambda4 <= lambda4(Tcc) < -1.5774",
-                 s.nth(4) <= t.nth(4) + 1e-9 and t.nth(4) < BOUND4),
-            ]
+            checks += [(f"lambda{k} <= lambda{k}(Tcc) < {high:g}",
+                        s.nth(k) <= t.nth(k) + 1e-9 and t.nth(k) < high)
+                       for k, high in _UPPER_BOUNDS]
             for name, ok in checks:
                 if not ok:
                     witnesses.append({"a": a, "b": b, "bound": name,
@@ -264,7 +257,7 @@ def run_case_table(family: str) -> CaseReport:
             if not run_ok:
                 verdict = "contradiction-confirmed"
                 interest = (m - 1, s.nth(m - 1))
-            elif s.nth(2) >= BOUND2 - 1e-9:
+            elif s.nth(2) >= forms.LAMBDA2_HIGH - 1e-9:
                 verdict = "contradiction-confirmed"
                 interest = (2, s.nth(2))
             else:
@@ -281,8 +274,7 @@ def run_case_table(family: str) -> CaseReport:
             # 4- and 5-vertex families: the three submatrix bounds; the
             # violated index is lambda4 in every refuted case
             interest = (4, s.nth(4))
-            violated = (s.nth(2) >= BOUND2 or s.nth(3) >= BOUND3
-                        or s.nth(4) >= BOUND4)
+            violated = any(s.nth(k) >= high for k, high in _UPPER_BOUNDS)
             if violated:
                 verdict = "contradiction-confirmed"
             else:
@@ -457,9 +449,9 @@ def verify_theorem31(max_ab: int = 8) -> VerificationResult:
 # ---------------------------------------------------------------------------
 # f/g root intervals and the T(c,c) factorization
 
-_F_ENDPOINTS = (Fraction(-17304, 10000), Fraction(-15774, 10000),
-                Fraction(-5578, 10000), Fraction(-4226, 10000),
-                Fraction(82882, 10000))
+_F_ENDPOINTS = tuple(Fraction(str(x)) for x in (
+    forms.LAMBDA4_LOW, forms.LAMBDA4_HIGH, forms.LAMBDA2_LOW,
+    forms.LAMBDA3_HIGH, forms.LAMBDA1_LOW))
 
 
 def _cubic_roots(p: IntPoly) -> list[float]:
@@ -506,15 +498,15 @@ def verify_fg_roots(max_c: int = 100) -> VerificationResult:
     # widened first interval (the true root sits ~1.9e-5 left of -1.7304)
     f1 = forms.f_poly(1)
     roots = _cubic_roots(f1)
-    for root, ref in zip(roots, (-1.7304, -0.5578, 8.2882)):
+    for root, ref in zip(roots, (forms.LAMBDA4_LOW, forms.LAMBDA2_LOW,
+                                 forms.LAMBDA1_LOW)):
         if abs(root - ref) > PAPER_TOL:
             witnesses.append({"check": "c=1 root proximity",
                               "root": root, "reference": ref})
     c1_signs = [
         ("f1(-1.7305) > 0",
          sign_at_rational(f1, Fraction(-17305, 10000)) == 1),
-        ("f1(-1.5774) < 0",
-         sign_at_rational(f1, Fraction(-15774, 10000)) == -1),
+        ("f1(-1.5774) < 0", sign_at_rational(f1, _F_ENDPOINTS[1]) == -1),
         ("f1(-0.5578) < 0", sign_at_rational(f1, _F_ENDPOINTS[2]) == -1),
         ("f1(-0.4226) > 0", sign_at_rational(f1, _F_ENDPOINTS[3]) == 1),
         ("f1(8.2882) > 0", sign_at_rational(f1, _F_ENDPOINTS[4]) == 1),
@@ -535,11 +527,14 @@ def verify_fg_roots(max_c: int = 100) -> VerificationResult:
     for c in range(1, max_c + 1):
         rad = math.sqrt(c * c + 4 * c)
         lo, hi = -(c + 2) - rad, -(c + 2) + rad
-        if lo > -5.2361 + PAPER_TOL:
-            witnesses.append({"check": "g lower root <= -5.2361",
+        if lo > forms.LAMBDA_N_HIGH + PAPER_TOL:
+            witnesses.append({"check": "g lower root <= "
+                                       f"{forms.LAMBDA_N_HIGH:g}",
                               "c": c, "root": lo})
-        if not (-0.7639 - PAPER_TOL <= hi < 0):
-            witnesses.append({"check": "g upper root in [-0.7639, 0)",
+        if not (forms.LAMBDA3_LOW - PAPER_TOL <= hi < forms.LAMBDA2_HIGH):
+            witnesses.append({"check": "g upper root in "
+                                       f"[{forms.LAMBDA3_LOW:g}, "
+                                       f"{forms.LAMBDA2_HIGH:g})",
                               "c": c, "root": hi})
 
     # factorization: (-L-2)^(2c-2) * g * f == charpoly(D(T(c,c))), and the

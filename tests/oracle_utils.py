@@ -113,15 +113,6 @@ def bf_lex_least(rows, n):
                  for i in range(n))
 
 
-def bf_induced_subgraph(g, vertices):
-    """The subgraph of g induced by vertices, relabeled 0..k-1 in the
-    given order."""
-    vs = list(vertices)
-    return Graph.from_edges(len(vs), [
-        (i, j) for i, j in combinations(range(len(vs)), 2)
-        if g.adjacent(vs[i], vs[j])])
-
-
 def random_connected(rng, n, p=0.45):
     while True:
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)

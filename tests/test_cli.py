@@ -8,7 +8,7 @@ import pytest
 
 from specgraph import mate
 from specgraph.cli import main, parse_graph_spec
-from specgraph.graphs import named_graph, to_graph6
+from specgraph.graphs import Graph, named_graph, to_graph6
 from specgraph.mate import enumerate_connected
 from specgraph.verify import EXPECTED_EXCEPTIONS
 
@@ -317,6 +317,67 @@ class TestMateSearch:
         assert doc["ds"]["status"] == "pass"
         assert doc["ds"]["total_graphs"] == 21
         assert "input_diagnostics" not in doc
+
+    def _stream_ds(self, capsys, tmp_path, graphs, *fmt, tab="1,1"):
+        path = tmp_path / "stream.g6"
+        path.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+        return run_cli(capsys, "mate-search", "--tab", tab, "--input",
+                       str(path), "--no-timestamp", *fmt)
+
+    def test_partial_stream_is_inconclusive(self, capsys, tmp_path):
+        t11 = named_graph("T", 1, 1)
+        code, out, _ = self._stream_ds(capsys, tmp_path, [t11])
+        assert code == 1
+        ds = json.loads(out)["ds"]
+        assert ds["status"] == "inconclusive"
+        assert (ds["expected_graphs"], ds["distinct_graphs"]) == (21, 1)
+        code, out, _ = self._stream_ds(capsys, tmp_path, [t11], "--format",
+                                       "text")
+        assert code == 1
+        assert ("DS: INCONCLUSIVE, class size 1 of 1 graphs "
+                "(1 distinct, 21 expected)") in out
+        # one member dropped from a full stream
+        graphs = list(enumerate_connected(5))
+        code, out, _ = self._stream_ds(capsys, tmp_path, graphs[1:])
+        assert code == 1
+        ds = json.loads(out)["ds"]
+        assert ds["status"] == "inconclusive"
+        assert (ds["expected_graphs"], ds["distinct_graphs"]) == (21, 20)
+
+    def test_duplicated_stream_is_inconclusive(self, capsys, tmp_path):
+        t11 = named_graph("T", 1, 1)
+        code, out, _ = self._stream_ds(capsys, tmp_path, [t11] * 3)
+        assert code == 1
+        ds = json.loads(out)["ds"]
+        assert ds["status"] == "inconclusive"
+        assert ds["class_size"] == 3
+        assert (ds["expected_graphs"], ds["distinct_graphs"]) == (21, 1)
+
+    def test_duplicate_for_missing_is_inconclusive(self, capsys, tmp_path):
+        # 21 lines, but one graph twice (the second copy relabeled) and
+        # another missing
+        graphs = list(enumerate_connected(5))
+        g = graphs[0]
+        perm = list(reversed(range(5)))
+        graphs[-1] = Graph.from_edges(5, [(perm[u], perm[v])
+                                          for u, v in g.edges()])
+        assert graphs[-1] != g
+        code, out, _ = self._stream_ds(capsys, tmp_path, graphs)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["total_graphs"] == 21
+        assert doc["ds"]["status"] == "inconclusive"
+        assert doc["ds"]["distinct_graphs"] == 20
+
+    def test_stream_beyond_known_counts_is_inconclusive(self, capsys,
+                                                         tmp_path):
+        # A001349 is hard-coded up to order 10; T(4,4) has order 11
+        code, out, _ = self._stream_ds(capsys, tmp_path,
+                                       [named_graph("T", 4, 4)],
+                                       "--format", "text", tab="4,4")
+        assert code == 1
+        assert ("DS: INCONCLUSIVE, class size 1 of 1 graphs "
+                "(1 distinct, unknown expected)") in out
 
     def test_order_mismatch_exit_2(self, capsys, tmp_path):
         path = tmp_path / "n5.g6"

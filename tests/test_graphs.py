@@ -1,18 +1,20 @@
-"""Graph core: named catalog, BFS distances, induced embeddings, graph6
-codec."""
+"""Graph core: named catalog, BFS distances, canonical forms and
+isomorphism, graph6 codec."""
 
 import random
+from itertools import combinations
 
 import pytest
-from oracle_utils import bf_induced_subgraph
+from oracle_utils import bf_class_reps, bf_isomorphic
 
+from specgraph import mate
 from specgraph.graphs import (
     DisconnectedError,
     Graph,
     Graph6Error,
     GraphError,
+    canonical_form,
     distance_matrix,
-    find_induced_embedding,
     from_graph6,
     is_connected,
     is_isomorphic,
@@ -70,7 +72,7 @@ class TestNamedGraphs:
         g = named_graph("T", 1, 1)
         assert g.n == 5
         assert g.edge_count() == 4
-        assert g.degree_sequence() == (1, 1, 2, 2, 2)
+        assert sorted(g.degree(v) for v in range(g.n)) == [1, 1, 2, 2, 2]
 
     @pytest.mark.parametrize("a", range(0, 5))
     @pytest.mark.parametrize("b", range(0, 5))
@@ -187,41 +189,6 @@ class TestConnectivity:
         assert not is_connected(Graph(2, (0, 0)))
 
 
-class TestInducedContainment:
-    def test_t33_has_no_p6(self):
-        assert find_induced_embedding(named_graph("T", 3, 3),
-                                      named_graph("P6")) is None
-
-    def test_c6_contains_itself(self):
-        assert find_induced_embedding(named_graph("C", 6),
-                                      named_graph("C", 6)) is not None
-
-    def test_k4_has_no_c4(self):
-        assert find_induced_embedding(named_graph("K", 4),
-                                      named_graph("C", 4)) is None
-
-    def test_agrees_with_subset_bruteforce(self):
-        from itertools import combinations
-        rng = random.Random(99)
-        patterns = [named_graph("P", 3), named_graph("C", 4),
-                    named_graph("K", 3), named_graph("P", 4)]
-        for _ in range(30):
-            g = random_graph(rng.randint(4, 8), 0.4, rng)
-            for h in patterns:
-                brute = any(
-                    is_isomorphic(bf_induced_subgraph(g, s), h)
-                    for s in combinations(range(g.n), h.n))
-                emb = find_induced_embedding(g, h)
-                assert (emb is not None) == brute
-                if emb is not None:
-                    image = [emb[v] for v in range(h.n)]
-                    assert len(set(image)) == h.n
-                    assert all(g.adjacent(image[u], image[v])
-                               == h.adjacent(u, v)
-                               for u in range(h.n) for v in range(h.n)
-                               if u != v)
-
-
 class TestGraph6:
     def test_decode_star(self):
         g = from_graph6("D?{")
@@ -283,6 +250,104 @@ class TestIsomorphism:
             h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
             assert is_isomorphic(g, h)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_agrees_with_bruteforce(self, n):
+        # every graph on n vertices against a relabeled copy of every
+        # graph with its edge count
+        rng = random.Random(n)
+        reps = bf_class_reps(n, connected=False)
+        copies = [random_relabeling(rows, rng) for rows in reps]
+        pairs = 0
+        for rows in reps:
+            g = Graph(n, rows)
+            for h in copies:
+                if g.edge_count() == h.edge_count():
+                    assert is_isomorphic(g, h) == bf_isomorphic(rows, h.rows,
+                                                                n)
+                    pairs += 1
+        assert pairs >= len(reps)
+
     def test_distinguishes(self):
         assert not is_isomorphic(named_graph("P", 5), named_graph("C", 5))
         assert not is_isomorphic(named_graph("T", 2, 2), named_graph("S", 2, 3))
+        assert not is_isomorphic(shrikhande(), rook_4x4())
+        assert not is_isomorphic(named_graph("P", 3), named_graph("P", 4))
+
+
+def random_relabeling(rows, rng):
+    """The graph on rows with its vertices renamed by a random
+    permutation."""
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    out = [0] * len(rows)
+    for v, r in enumerate(rows):
+        for w in range(len(rows)):
+            if r >> w & 1:
+                out[perm[v]] |= 1 << perm[w]
+    return Graph(len(rows), tuple(out))
+
+
+def shrikhande():
+    # Z4 x Z4, u ~ v when v - u is one of +-(0,1), +-(1,0), +-(1,1)
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    return Graph.from_edges(16, [
+        (u, v) for u, v in combinations(range(16), 2)
+        if ((v // 4 - u // 4) % 4, (v % 4 - u % 4) % 4) in steps])
+
+
+def rook_4x4():
+    return Graph.from_edges(16, [
+        (u, v) for u, v in combinations(range(16), 2)
+        if u // 4 == v // 4 or u % 4 == v % 4])
+
+
+def paley_13():
+    squares = {x * x % 13 for x in range(1, 13)}
+    return Graph.from_edges(13, [(u, v) for u, v in combinations(range(13), 2)
+                                 if (v - u) % 13 in squares])
+
+
+def petersen():
+    return Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                            + [(i, 5 + i) for i in range(5)])
+
+
+def hypercube_q4():
+    return Graph.from_edges(16, [(u, v) for u, v in combinations(range(16), 2)
+                                 if (u ^ v).bit_count() == 1])
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_invariant_under_relabeling_every_connected_graph(self, n):
+        rng = random.Random(n)
+        for rows, _ in mate._level(n):
+            form = canonical_form(Graph(n, rows))
+            for _ in range(3):
+                assert canonical_form(random_relabeling(rows, rng)) == form
+
+    @pytest.mark.parametrize("build", [shrikhande, rook_4x4, paley_13,
+                                       petersen, hypercube_q4])
+    def test_invariant_under_relabeling_symmetric_graphs(self, build):
+        # strongly regular and vertex-transitive graphs, whose searches
+        # find leaves equal to the best leaf off the first path; pruning
+        # back to the first path there loses the canonical leaf for some
+        # labelings of the Shrikhande graph
+        g = build()
+        form = canonical_form(g)
+        rng = random.Random(16)
+        for _ in range(100):
+            assert canonical_form(random_relabeling(g.rows, rng)) == form
+
+    def test_form_is_its_own_form(self):
+        g = shrikhande()
+        form = canonical_form(g)
+        assert sorted(r.bit_count() for r in form) == [6] * 16
+        assert is_isomorphic(Graph(16, form), g)
+
+    def test_distinct_across_classes(self):
+        forms = {canonical_form(Graph(7, rows)) for rows, _ in mate._level(7)}
+        assert len(forms) == 853
+        # cospectral, with equal parameters srg(16, 6, 2, 2)
+        assert canonical_form(shrikhande()) != canonical_form(rook_4x4())

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from specgraph import forms
+from specgraph import forms, verify
 from specgraph.exactpoly import MPoly
+from specgraph.spectra import Spectrum
 from specgraph.verify import (
     run_case_table,
     run_verifier,
@@ -45,6 +46,22 @@ class TestInterlacing:
 
     def test_t11_equality_case_included(self):
         assert verify_interlacing_bounds(1).ok
+
+    def test_witness_names(self, monkeypatch):
+        # spectra far above and far below every bound name each of the
+        # eight checks, from forms' interval table, in the reported text
+        names = set()
+        for value in (100.0, -100.0):
+            monkeypatch.setattr(verify, "eigenvalues_sym",
+                                lambda d, v=value: Spectrum((v,) * len(d)))
+            names |= {w["bound"] for w in
+                      verify_interlacing_bounds(1).details["witnesses"]}
+        assert names == {
+            "lambda1 >= 8.2882", "lambda2 >= -0.5578", "lambda3 >= -0.7639",
+            "lambda4 >= -1.7304", "lambda_n <= -5.2361",
+            "lambda2 <= lambda2(Tcc) < 0",
+            "lambda3 <= lambda3(Tcc) < -0.4226",
+            "lambda4 <= lambda4(Tcc) < -1.5774"}
 
 
 class TestCycles:
