@@ -177,7 +177,7 @@ def cmd_mate_search(args) -> int:
         if args.input:
             classes = mate.cospectral_classes(
                 mate.ingest_graph6(
-                    args.input,
+                    args.input, order=order,
                     on_error=lambda ln, msg: errors.append(
                         f"line {ln}: {msg}")),
                 jobs=jobs)

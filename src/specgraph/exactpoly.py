@@ -10,8 +10,9 @@ plus the exact kernels built on them: Faddeev-LeVerrier characteristic
 polynomials of stacks of integer matrices (in int64 where a proven bound
 rules out overflow, modulo word-size primes with a Chinese-remainder lift
 otherwise), Bareiss fraction-free determinants of polynomial matrices,
-exact division, integer root multiplicities and exact sign evaluation at
-rationals.  No floats anywhere in this module.
+exact division, root counts above and at a rational (Descartes' rule of
+signs after a Taylor shift) and exact sign evaluation at rationals.  No
+floats anywhere in this module.
 """
 
 from __future__ import annotations
@@ -108,9 +109,6 @@ class IntPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def shift_mul_x(self) -> "IntPoly":
-        return IntPoly((0,) + self.coeffs) if self.coeffs else self
 
     def to_mpoly(self) -> "MPoly":
         terms = {}
@@ -579,32 +577,34 @@ def bareiss_det(matrix) -> MPoly:
 
 
 # ---------------------------------------------------------------------------
-# integer roots and exact signs
+# root counts and exact signs
 
-def root_multiplicity(p: IntPoly, r: int) -> int:
-    """Largest k with (L - r)^k dividing p exactly; 0 if r is not a root."""
+def root_counts(p: IntPoly, value) -> tuple[int, int]:
+    """(above, at) for an integer or Fraction value = r/s: the roots of p
+    greater than value, and the multiplicity of value as a root.
+
+    The descending coefficients of s^n p(y/s), Taylor-shifted by r, are
+    those of q(y) = s^n p((y + r)/s), whose positive roots and zero roots
+    are p's roots above and at value.  ``at`` counts q's trailing zero
+    coefficients and is exact for any p.  ``above`` counts q's sign
+    changes (Descartes' rule of signs), which is exact when every root of
+    p is real, as for the characteristic polynomial of a symmetric matrix.
+    """
     if p.is_zero():
-        raise ValueError("zero polynomial has no well-defined multiplicity")
-    mult = 0
-    cur = p
-    while True:
-        # synthetic division of cur by (L - r)
-        coeffs = cur.coeffs
-        if not coeffs:
-            break
-        quot = [0] * max(len(coeffs) - 1, 0)
-        acc = 0
-        for i in range(len(coeffs) - 1, 0, -1):
-            acc = coeffs[i] + acc * r
-            quot[i - 1] = acc
-        remainder = coeffs[0] + acc * r
-        if remainder != 0:
-            break
-        mult += 1
-        cur = IntPoly(quot)
-        if cur.is_zero():
-            break
-    return mult
+        raise ValueError("zero polynomial has no well-defined root counts")
+    q = Fraction(value)
+    num, den = q.numerator, q.denominator
+    a = [c * den ** i for i, c in enumerate(reversed(p.coeffs))]
+    n = len(a) - 1
+    for top in range(n, 0, -1):
+        for j in range(1, top + 1):
+            a[j] += num * a[j - 1]
+    at = 0
+    while a[n - at] == 0:
+        at += 1
+    signs = [c > 0 for c in a if c]
+    above = sum(x != y for x, y in zip(signs, signs[1:]))
+    return above, at
 
 
 def sign_at_rational(p: IntPoly, value) -> int:

@@ -439,13 +439,15 @@ def cospectral_classes_builtin(n: int, jobs: int = 1) -> CospectralClasses:
 # ---------------------------------------------------------------------------
 # graph6 ingestion
 
-def ingest_graph6(path, on_error=None):
+def ingest_graph6(path, on_error=None, order=None):
     """Stream graphs from a file of graph6 lines.
 
-    Blank lines are skipped; malformed lines and disconnected graphs,
-    which have no distance matrix, are reported through on_error (line
-    number, message) and the stream continues.
+    Blank lines are skipped; malformed lines, disconnected graphs (no
+    distance matrix) and graphs of another order than a given one are
+    reported through on_error (line number, message) and skipped.  No
+    graph of the given order at all raises ValueError.
     """
+    found = False
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.strip()
@@ -456,12 +458,18 @@ def ingest_graph6(path, on_error=None):
             except Exception as exc:  # malformed line; keep streaming
                 problem = str(exc)
             else:
-                if is_connected(g):
+                if not is_connected(g):
+                    problem = "disconnected graph"
+                elif order is not None and g.n != order:
+                    problem = f"order {g.n}, expected {order}"
+                else:
+                    found = True
                     yield g
                     continue
-                problem = "disconnected graph"
             if on_error is not None:
                 on_error(lineno, problem)
+    if order is not None and not found:
+        raise ValueError(f"no connected graph of order {order} in {path}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,27 @@
 """Symmetric eigenvalues as a descending spectrum.
 
 Eigenvalues come from LAPACK's symmetric eigensolver through
-numpy.linalg.eigvalsh and are returned descending.  Floats only place
-eigenvalues: every decision about the eigenvalue -2 is checked against its
-exact multiplicity in the characteristic polynomial (see verify).  The last
-digits of an eigenvalue may differ between numpy/BLAS builds.
-
-Tolerance discipline used throughout the package: 5e-5 against 4-decimal
-truncated reference values, 1e-9 for internally computed comparisons.
+numpy.linalg.eigvalsh and are returned descending.  They are reported, and
+compared with the paper's 4-decimal reference values at PAPER_TOL; no
+verdict on an exactly known eigenvalue position reads them (verify decides
+those from the exact characteristic polynomial).  The last digits of an
+eigenvalue may differ between numpy/BLAS builds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 PAPER_TOL = 5e-5
-INTERNAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Descending-sorted real eigenvalues with a comparison tolerance."""
+    """Descending-sorted real eigenvalues."""
 
     values: tuple[float, ...]
-    tol: float = field(default=INTERNAL_TOL, compare=False)
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
@@ -45,11 +41,11 @@ class Spectrum:
         return self.values[i - 1]
 
 
-def eigenvalues_sym(matrix, tol: float = INTERNAL_TOL) -> Spectrum:
+def eigenvalues_sym(matrix) -> Spectrum:
     """Eigenvalues of a symmetric matrix, descending."""
     A = np.array(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     if np.max(np.abs(A - A.T), initial=0.0) > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")
-    return Spectrum(tuple(np.linalg.eigvalsh(A)[::-1].tolist()), tol)
+    return Spectrum(tuple(np.linalg.eigvalsh(A)[::-1].tolist()))

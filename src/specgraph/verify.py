@@ -7,6 +7,12 @@ versioned JSON report schema ({"schema": 1, "lemma", "status", "cases",
 reference providers are injectable keyword arguments so the test suite can
 prove that single-coefficient faults in any transcription are detected
 with a localized witness.
+
+Every case-table verdict and pinned eigenvalue fact is exact: _versus
+places lambda_k against a rational by root counts on the exact charpoly.
+Floats are reported, compared with 4-decimal references at PAPER_TOL, and
+decide only the closed cycle spectra, the radical g-root bounds and the
+interlacing comparisons with T(c,c).
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .exactpoly import (
     MPoly,
     bareiss_det,
     charpoly_exact,
-    root_multiplicity,
+    root_counts,
     sign_at_rational,
 )
 from .graphs import distance_matrix, named_graph
@@ -75,6 +81,13 @@ def _result(lemma: str, witnesses: list, details: dict | None = None
     d = dict(details or {})
     d["witnesses"] = witnesses
     return VerificationResult(lemma, "fail" if witnesses else "pass", d)
+
+
+def _versus(p: IntPoly, k: int, t) -> int:
+    """Exact sign of lambda_k - t, where p is the charpoly of a symmetric
+    matrix (so every root is real) and t is read as its decimal text."""
+    above, at = root_counts(p, Fraction(str(t)))
+    return 1 if above >= k else 0 if above + at >= k else -1
 
 
 # ---------------------------------------------------------------------------
@@ -143,34 +156,36 @@ def verify_cycle_lemmas(max_n: int = 12) -> VerificationResult:
     if max_n < 8:
         raise ValueError("max_n must be >= 8")
     witnesses = []
+    numeric_by_n = {}
     for n in range(3, max_n + 1):
         closed = forms.cycle_spectrum_closed(n)
-        numeric = eigenvalues_sym(distance_matrix(named_graph("C", n)))
+        numeric = numeric_by_n[n] = eigenvalues_sym(
+            distance_matrix(named_graph("C", n)))
         if closed.n != numeric.n or any(
                 abs(x - y) > 1e-9 for x, y in zip(closed.values, numeric.values)):
             witnesses.append({"n": n, "closed": list(closed.values),
                               "numeric": list(numeric.values)})
 
-    spectra = {n: eigenvalues_sym(distance_matrix(named_graph("C", n)))
-               for n in (4, 5, 6, 7)}
-    if abs(spectra[4].nth(2)) > 1e-9:
-        witnesses.append({"fact": "lambda2(C4)=0", "got": spectra[4].nth(2)})
-    if abs(spectra[5].nth(3) - (-0.3820)) > PAPER_TOL:
+    polys = {n: charpoly_exact(distance_matrix(named_graph("C", n)))
+             for n in range(4, max_n + 1)}
+    if _versus(polys[4], 2, 0) != 0:
+        witnesses.append({"fact": "lambda2(C4)=0",
+                          "got": numeric_by_n[4].nth(2)})
+    if abs(numeric_by_n[5].nth(3) - (-0.3820)) > PAPER_TOL:
         witnesses.append({"fact": "lambda3(C5)=-0.3820",
-                          "got": spectra[5].nth(3)})
+                          "got": numeric_by_n[5].nth(3)})
     for n in (6, 7):
-        if abs(spectra[n].nth(5) + 2.0) < 1e-6:
+        if _versus(polys[n], 5, -2) == 0:
             witnesses.append({"fact": f"lambda5(C{n}) != -2",
-                              "got": spectra[n].nth(5)})
+                              "got": numeric_by_n[n].nth(5)})
 
     for n in range(8, max_n + 1):
-        mult = root_multiplicity(
-            charpoly_exact(distance_matrix(named_graph("C", n))), -2)
+        mult = root_counts(polys[n], -2)[1]
         if mult > 2:
             witnesses.append({"fact": f"mult(-2) of C{n} <= 2", "got": mult})
 
     capped = {n: eigenvalues_sym(forms.capped_cycle_matrix(n)) for n in (6, 7)}
-    if abs(capped[6].nth(5) + 3.0) > 1e-9:
+    if _versus(charpoly_exact(forms.capped_cycle_matrix(6)), 5, -3) != 0:
         witnesses.append({"fact": "capped C6 lambda5 = -3",
                           "got": capped[6].nth(5)})
     if abs(capped[7].nth(5) - (-1.5550)) > PAPER_TOL:
@@ -207,27 +222,6 @@ class CaseReport:
         return out
 
 
-def _minus_two_position(values, p: IntPoly) -> tuple[int, int]:
-    """(k, mult): k eigenvalues exceed -2 and the next mult equal -2 exactly.
-
-    Numeric positions are trusted only because the exact multiplicity is
-    compared against the count of numerically -2-close eigenvalues; any
-    eigenvalue within 1e-6 of -2 that is not exactly -2 would be a fault.
-    """
-    mult = root_multiplicity(p, -2)
-    near = sum(1 for v in values if abs(v + 2.0) < 1e-6)
-    if near != mult:
-        raise AssertionError(
-            f"eigenvalue within 1e-6 of -2 is not exactly -2 (mult={mult}, "
-            f"near={near}); margin assumption violated")
-    k = sum(1 for v in values if v > -2.0 + 1e-6)
-    return k, mult
-
-
-def _lambda_is_minus_two(i: int, k: int, mult: int) -> bool:
-    return mult >= 1 and k + 1 <= i <= k + mult
-
-
 def run_case_table(family: str) -> CaseReport:
     """Enumerate every parameter assignment of a family's matrix template,
     classify each row, and collect the exceptional assignments.
@@ -235,6 +229,8 @@ def run_case_table(family: str) -> CaseReport:
     Verdicts: "contradiction-confirmed" when the spectral test rules the
     row out, "exception" when it does not and the row is metric-feasible,
     "infeasible-excluded" when only the triangle inequality rules it out.
+    The spectral test is exact (_versus on the row's charpoly); only the
+    reported eigenvalue fields are floats.
     """
     template = forms.forbidden_template(family)
     m = template.n
@@ -247,42 +243,26 @@ def run_case_table(family: str) -> CaseReport:
         feasible_count += feasible
         s = eigenvalues_sym(matrix)
         p = charpoly_exact(matrix)
-        k, mult = _minus_two_position(s.values, p)
-
         if m >= 10:
             # -2 run required at positions 5..m-1; inspect lambda_{m-1}
             # first, then lambda2 once the run is intact
-            run_ok = all(_lambda_is_minus_two(i, k, mult)
-                         for i in range(5, m))
-            if not run_ok:
-                verdict = "contradiction-confirmed"
-                interest = (m - 1, s.nth(m - 1))
-            elif s.nth(2) >= forms.LAMBDA2_HIGH - 1e-9:
-                verdict = "contradiction-confirmed"
-                interest = (2, s.nth(2))
-            else:
-                verdict = "exception" if feasible else "infeasible-excluded"
-                interest = (m - 1, s.nth(m - 1))
+            run = _versus(p, 5, -2) == 0 == _versus(p, m - 1, -2)
+            refuted = not run or _versus(p, 2, forms.LAMBDA2_HIGH) >= 0
+            index = 2 if run and refuted else m - 1
         elif m >= 6:
             # lambda5 must equal -2 exactly
-            interest = (5, s.nth(5))
-            if not _lambda_is_minus_two(5, k, mult):
-                verdict = "contradiction-confirmed"
-            else:
-                verdict = "exception" if feasible else "infeasible-excluded"
+            refuted, index = _versus(p, 5, -2) != 0, 5
         else:
             # 4- and 5-vertex families: the three submatrix bounds; the
             # violated index is lambda4 in every refuted case
-            interest = (4, s.nth(4))
-            violated = any(s.nth(k) >= high for k, high in _UPPER_BOUNDS)
-            if violated:
-                verdict = "contradiction-confirmed"
-            else:
-                verdict = "exception" if feasible else "infeasible-excluded"
-
+            refuted = any(_versus(p, k, high) >= 0
+                          for k, high in _UPPER_BOUNDS)
+            index = 4
+        verdict = ("contradiction-confirmed" if refuted
+                   else "exception" if feasible else "infeasible-excluded")
         row = {
             "assignment": dict(assignment),
-            "eigenvalue": {"index": interest[0], "value": interest[1]},
+            "eigenvalue": {"index": index, "value": s.nth(index)},
             "verdict": verdict,
             "feasible": feasible,
         }
@@ -320,30 +300,31 @@ def verify_case(family: str) -> VerificationResult:
                               "expected": expected,
                               "got": report.exceptions})
 
+    template = forms.forbidden_template(family)
+
+    def versus(assignment, k, t):
+        return _versus(charpoly_exact(template.instantiate(assignment)), k, t)
+
     if family == "H3":
         exc = [r for r in report.rows if r["verdict"] == "exception"]
-        if not any(abs(r["lambda4"] + 1.0) <= 1e-9 for r in exc):
+        if not any(versus(r["assignment"], 4, -1) == 0 for r in exc):
             witnesses.append({"check": "lambda4 = -1 at the H3 exception",
                               "rows": exc})
     if family == "K4":
-        lam4 = report.rows[0]["eigenvalue"]["value"]
-        if abs(lam4 + 1.0) > 1e-9:
-            witnesses.append({"check": "lambda4(K4) = -1", "got": lam4})
+        if versus(report.rows[0]["assignment"], 4, -1) != 0:
+            witnesses.append({"check": "lambda4(K4) = -1",
+                              "got": report.rows[0]["eigenvalue"]["value"]})
     if family == "F4":
         by_a = {r["assignment"]["a"]: r for r in report.rows}
-        s2 = eigenvalues_sym(
-            forms.forbidden_template("F4").instantiate({"a": 2}))
-        if abs(s2.nth(9) + 2.0) < 1e-6:
+        if versus({"a": 2}, 9, -2) == 0:
             witnesses.append({"check": "a=2 fails the -2 run",
-                              "lambda9": s2.nth(9)})
+                              "row": by_a[2]})
         if by_a[2]["eigenvalue"]["index"] != 9:
             witnesses.append({"check": "a=2 inspected at lambda9",
                               "row": by_a[2]})
-        s3 = eigenvalues_sym(
-            forms.forbidden_template("F4").instantiate({"a": 3}))
-        if abs(s3.nth(2)) > 1e-9:
+        if versus({"a": 3}, 2, 0) != 0:
             witnesses.append({"check": "a=3 gives lambda2 = 0",
-                              "lambda2": s3.nth(2)})
+                              "row": by_a[3]})
         if by_a[3]["eigenvalue"]["index"] != 2:
             witnesses.append({"check": "a=3 inspected at lambda2",
                               "row": by_a[3]})

@@ -281,6 +281,29 @@ class TestMateSearch:
         assert doc["input_diagnostics"] == ["line 4: disconnected graph"]
         assert doc["total_graphs"] == 6
 
+    def test_wrong_order_line_is_a_diagnostic(self, capsys, tmp_path):
+        path = tmp_path / "n5.g6"
+        good = [to_graph6(g) for g in enumerate_connected(5)]
+        four = to_graph6(next(enumerate_connected(4)))
+        path.write_text("\n".join(good[:5] + [four] + good[5:]) + "\n")
+        code, out, _ = run_cli(capsys, "mate-search", "--tab", "1,1",
+                               "--input", str(path), "--no-timestamp")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["input_diagnostics"] == ["line 6: order 4, expected 5"]
+        assert doc["total_graphs"] == 21
+        assert doc["ds"]["status"] == "pass"
+
+    def test_input_of_another_order_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "n5.g6"
+        path.write_text("\n".join(to_graph6(g)
+                                  for g in enumerate_connected(5)) + "\n")
+        code, out, err = run_cli(capsys, "mate-search", "--n", "6",
+                                 "--input", str(path), "--format", "text")
+        assert code == 2
+        assert out == ""
+        assert "order 6" in err
+
     @pytest.mark.parametrize("n,digest", [
         (7, "adb23a7ef007ebebe8bdd2ac1323cd10fd7c6237ef5ce53ba4a655d7ab5a87ba"),
         (8, "c902e27686badf31e61228d21bf4fc05cd2b4fc8562090e15676da1c70b8071d"),

@@ -16,7 +16,7 @@ from specgraph.exactpoly import (
     bareiss_det,
     charpoly_exact,
     charpoly_rows,
-    root_multiplicity,
+    root_counts,
     sign_at_rational,
 )
 from specgraph.graphs import distance_matrix, named_graph
@@ -135,7 +135,7 @@ class TestCharpoly:
     def test_k4_roots(self):
         p = charpoly_exact(distance_matrix(named_graph("K", 4)))
         assert p(3) == 0
-        assert root_multiplicity(p, -1) == 3
+        assert root_counts(p, -1)[1] == 3
         assert p.coeffs[-1] == 1  # (-1)^4
 
     def test_leading_and_trace_coefficients(self):
@@ -354,21 +354,21 @@ class TestDivision:
 class TestRootMultiplicity:
     def test_simple(self):
         p = IntPoly([-1, 0, 1])
-        assert root_multiplicity(p, 1) == 1
-        assert root_multiplicity(p, 2) == 0
+        assert root_counts(p, 1)[1] == 1
+        assert root_counts(p, 2)[1] == 0
 
     def test_t22_minus_two(self):
         p = charpoly_exact(distance_matrix(named_graph("T", 2, 2)))
-        assert root_multiplicity(p, -2) == 2
+        assert root_counts(p, -2)[1] == 2
 
     def test_t43_minus_two(self):
         p = charpoly_exact(distance_matrix(named_graph("T", 4, 3)))
-        assert root_multiplicity(p, -2) == 5
+        assert root_counts(p, -2)[1] == 5
 
     def test_constructed_multiplicity(self):
         p = IntPoly([2, 1]) ** 4 * IntPoly([-3, 1])
-        assert root_multiplicity(p, -2) == 4
-        assert root_multiplicity(p, 3) == 1
+        assert root_counts(p, -2)[1] == 4
+        assert root_counts(p, 3)[1] == 1
 
     def test_deflation_leaves_nonroot(self):
         rng = random.Random(41)
@@ -379,7 +379,7 @@ class TestRootMultiplicity:
             while sign_at_rational(q, r) == 0:
                 q = q + 1
             p = IntPoly([-r, 1]) ** k * q
-            assert root_multiplicity(p, r) == k
+            assert root_counts(p, r)[1] == k
             deflated = p
             for _ in range(k):
                 coeffs = deflated.coeffs
@@ -390,6 +390,89 @@ class TestRootMultiplicity:
                     quot[i - 1] = acc
                 deflated = IntPoly(quot)
             assert sign_at_rational(deflated, r) != 0
+
+
+def _random_symmetric(rng, n):
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            M[i][j] = M[j][i] = rng.randint(-5, 5)
+    return M
+
+
+class TestRootCounts:
+    """(above, at) against eigvalsh; a threshold within 1e-4 but not 1e-7
+    of an eigenvalue is one the float oracle cannot place, and is skipped."""
+
+    def check_against_eigvalsh(self, seed, threshold):
+        rng = random.Random(seed)
+        checked = 0
+        for _ in range(250):
+            M = _random_symmetric(rng, rng.randint(1, 10))
+            values = np.linalg.eigvalsh(np.array(M, dtype=float))
+            t = threshold(rng)
+            gaps = np.abs(values - float(t))
+            if np.any((gaps > 1e-7) & (gaps < 1e-4)):
+                continue
+            want = (int(np.sum(values > float(t) + 1e-7)),
+                    int(np.sum(gaps <= 1e-7)))
+            assert root_counts(charpoly_exact(M), t) == want, (M, t)
+            checked += 1
+        assert checked >= 240
+
+    def test_integer_thresholds(self):
+        self.check_against_eigvalsh(
+            61, lambda rng: rng.randint(-8, 8))
+
+    def test_rational_thresholds(self):
+        self.check_against_eigvalsh(
+            62, lambda rng: Fraction(rng.randint(-40, 40), rng.randint(2, 7)))
+
+    def test_integer_eigenvalues_are_hit(self):
+        # singular integer matrices put an eigenvalue exactly at 0
+        rng = random.Random(63)
+        hits = 0
+        for _ in range(100):
+            n = rng.randint(2, 8)
+            M = _random_symmetric(rng, n)
+            M[-1] = list(M[0])
+            for i in range(n):
+                M[i][-1] = M[i][0]
+            values = np.linalg.eigvalsh(np.array(M, dtype=float))
+            above, at = root_counts(charpoly_exact(M), 0)
+            assert at >= 1
+            assert above == int(np.sum(values > 1e-7))
+            assert at == int(np.sum(np.abs(values) <= 1e-7))
+            hits += at
+        assert hits >= 100
+
+    def test_complete_graph_at_minus_one(self):
+        for n in range(2, 9):
+            p = charpoly_exact(distance_matrix(named_graph("K", n)))
+            assert root_counts(p, -1) == (1, n - 1)
+            assert root_counts(p, n - 1) == (0, 1)
+            assert root_counts(p, Fraction(-3, 2)) == (n, 0)
+
+    def test_c4_at_zero(self):
+        p = charpoly_exact(distance_matrix(named_graph("C", 4)))
+        assert root_counts(p, 0) == (1, 1)
+
+    def test_tab_at_minus_two(self):
+        for a in range(1, 6):
+            for b in range(1, 6):
+                p = charpoly_exact(distance_matrix(named_graph("T", a, b)))
+                assert root_counts(p, -2) == (4, a + b - 2), (a, b)
+
+    def test_rational_root(self):
+        # (2L + 3)^2 (L - 1): roots -3/2 twice and 1
+        p = IntPoly([3, 2]) ** 2 * IntPoly([-1, 1])
+        assert root_counts(p, Fraction(-3, 2)) == (1, 2)
+        assert root_counts(p, Fraction(-7, 5)) == (1, 0)
+        assert root_counts(p, Fraction(-8, 5)) == (3, 0)
+
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(ValueError):
+            root_counts(IntPoly(), 0)
 
 
 class TestSignAtRational:

@@ -490,6 +490,29 @@ class TestIngest:
         assert list(ingest_graph6(path)) == []
 
 
+    def test_wrong_order_lines_are_diagnostics(self, tmp_path):
+        path = tmp_path / "graphs.g6"
+        five = [to_graph6(g) for g in list(enumerate_connected(5))[:3]]
+        four = to_graph6(named_graph("P", 4))
+        path.write_text("\n".join(five[:1] + [four] + five[1:]) + "\n")
+        problems = []
+        loaded = list(ingest_graph6(
+            path, order=5,
+            on_error=lambda ln, msg: problems.append((ln, msg))))
+        assert [to_graph6(g) for g in loaded] == five
+        assert problems == [(2, "order 4, expected 5")]
+
+    def test_no_line_of_the_order_raises(self, tmp_path):
+        path = tmp_path / "graphs.g6"
+        path.write_text(to_graph6(named_graph("P", 4)) + "\n")
+        problems = []
+        with pytest.raises(ValueError, match="order 5"):
+            list(ingest_graph6(
+                path, order=5,
+                on_error=lambda ln, msg: problems.append((ln, msg))))
+        assert problems == [(1, "order 4, expected 5")]
+
+
 class TestDsVerdict:
     def test_t11_builtin(self):
         r = ds_verdict(1, 1, cospectral_classes_builtin(5))

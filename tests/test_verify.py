@@ -5,7 +5,8 @@ import json
 import pytest
 
 from specgraph import forms, verify
-from specgraph.exactpoly import MPoly
+from specgraph.exactpoly import MPoly, charpoly_exact
+from specgraph.graphs import distance_matrix, named_graph
 from specgraph.spectra import Spectrum
 from specgraph.verify import (
     run_case_table,
@@ -73,6 +74,28 @@ class TestCycles:
     def test_rejects_small_bound(self):
         with pytest.raises(ValueError):
             verify_cycle_lemmas(7)
+
+
+class TestVersus:
+    def test_tab_minus_two_run(self):
+        # T(2,2): lambda1..4 above -2, lambda5 = lambda6 = -2, lambda7 below
+        p = charpoly_exact(distance_matrix(named_graph("T", 2, 2)))
+        assert [verify._versus(p, k, -2) for k in range(1, 8)] == \
+            [1, 1, 1, 1, 0, 0, -1]
+
+    def test_complete_graph(self):
+        p = charpoly_exact(distance_matrix(named_graph("K", 4)))
+        assert [verify._versus(p, k, -1) for k in range(1, 5)] == \
+            [1, 0, 0, 0]
+        assert verify._versus(p, 1, 3) == 0
+        assert verify._versus(p, 1, 2.5) == 1
+        assert verify._versus(p, 4, -0.9999) == -1
+
+    def test_float_bound_read_as_decimal(self):
+        p = charpoly_exact(forms.forbidden_template("F4").instantiate({"a": 3}))
+        assert verify._versus(p, 2, 0.0) == 0
+        assert verify._versus(p, 2, 1e-12) == -1
+        assert verify._versus(p, 2, -1e-12) == 1
 
 
 class TestCaseTables:
@@ -159,6 +182,21 @@ class TestCaseTables:
         assert by_a[3]["eigenvalue"]["index"] == 2
         assert abs(by_a[3]["eigenvalue"]["value"]) <= 1e-9
         assert verify_case("F4").ok
+
+    def test_f4_a3_follows_exact_lambda2_at_the_bound(self, monkeypatch):
+        # lambda2 = 0 exactly at a=3 (LAPACK gives about 1.3e-16), so a
+        # bound just above 0 must let the row through and one just below
+        # must refute it at lambda2
+        def a3_row(bound):
+            monkeypatch.setattr(forms, "LAMBDA2_HIGH", bound)
+            rows = run_case_table("F4").rows
+            return next(r for r in rows if r["assignment"] == {"a": 3})
+
+        row = a3_row(1e-12)
+        assert row["verdict"] == "exception"
+        row = a3_row(-1e-12)
+        assert row["verdict"] == "contradiction-confirmed"
+        assert row["eigenvalue"]["index"] == 2
 
     def test_rows_cover_full_product_in_order(self):
         for fam in ("H2", "H3", "F3"):
