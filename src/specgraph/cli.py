@@ -108,8 +108,11 @@ def cmd_spectrum(args) -> int:
 # verify
 
 def _run_named_verifier(lemma: str, args):
-    return verify.run_verifier(lemma, max_ab=args.max_ab, max_n=args.max_n,
-                               max_c=args.max_c)
+    try:
+        return verify.run_verifier(lemma, max_ab=args.max_ab,
+                                   max_n=args.max_n, max_c=args.max_c)
+    except ValueError as exc:  # a bound out of the verifier's range
+        raise UsageError(f"{lemma}: {exc}") from exc
 
 
 def cmd_verify(args) -> int:
@@ -194,6 +197,9 @@ def cmd_mate_search(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
 
+    if args.format != "json":  # the JSON carries them as input_diagnostics
+        for line in errors:
+            print(f"warning: {line}", file=sys.stderr)
     if args.format == "json":
         doc = classes.to_json_dict()
         if errors:

@@ -10,9 +10,9 @@ plus the exact kernels built on them: Faddeev-LeVerrier characteristic
 polynomials of stacks of integer matrices (in int64 where a proven bound
 rules out overflow, modulo word-size primes with a Chinese-remainder lift
 otherwise), Bareiss fraction-free determinants of polynomial matrices,
-exact division, root counts above and at a rational (Descartes' rule of
-signs after a Taylor shift) and exact sign evaluation at rationals.  No
-floats anywhere in this module.
+exact division, and root counts above and at a rational (Descartes' rule
+of signs after a Taylor shift), the one rule by which the package places
+a root.  No floats anywhere in this module.
 """
 
 from __future__ import annotations
@@ -577,7 +577,7 @@ def bareiss_det(matrix) -> MPoly:
 
 
 # ---------------------------------------------------------------------------
-# root counts and exact signs
+# root counts
 
 def root_counts(p: IntPoly, value) -> tuple[int, int]:
     """(above, at) for an integer or Fraction value = r/s: the roots of p
@@ -606,16 +606,3 @@ def root_counts(p: IntPoly, value) -> tuple[int, int]:
     above = sum(x != y for x, y in zip(signs, signs[1:]))
     return above, at
 
-
-def sign_at_rational(p: IntPoly, value) -> int:
-    """Exact sign of p at an integer or Fraction, via cleared denominators."""
-    q = Fraction(value)
-    num, den = q.numerator, q.denominator
-    total = 0
-    n = p.degree
-    if n < 0:
-        return 0
-    for i, c in enumerate(p.coeffs):
-        if c:
-            total += c * num ** i * den ** (n - i)
-    return (total > 0) - (total < 0)

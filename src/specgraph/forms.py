@@ -17,7 +17,7 @@ from itertools import product
 
 from .exactpoly import IntPoly, MPoly
 from .graphs import distance_matrix, named_graph
-from .spectra import PAPER_TOL, Spectrum
+from .spectra import Spectrum
 
 # interval table for the spectrum of T(a,b), a,b >= 1:
 #   lam1 in [8.2882, inf)        lam2 in [-0.5578, 0)
@@ -125,6 +125,11 @@ def cycle_spectrum_closed(n: int) -> Spectrum:
             vals.append(-1.0)
     vals.sort(reverse=True)
     return Spectrum(tuple(vals))
+
+
+# 4-decimal eigenvalue facts quoted for the cycle cases
+C5_LAMBDA3 = -0.3820
+CAPPED_C7_LAMBDA5 = -1.5550
 
 
 def capped_cycle_matrix(n: int) -> tuple[tuple[int, ...], ...]:
@@ -540,33 +545,3 @@ def appendix_q(k: int) -> MPoly:
     if k not in _Q_TABLE:
         raise ValueError("q_k is tabulated for k in 1..5")
     return _from_table(_Q_TABLE[k])
-
-
-# ---------------------------------------------------------------------------
-# spectrum interval table
-
-def interval_table_check(s: Spectrum) -> tuple[bool, list[str]]:
-    """Check a spectrum against the T(a,b) interval table.
-
-    Closed endpoints quoted at 4 decimals get PAPER_TOL slack; the interior
-    -2 run is checked at 1e-9.  The unbounded interval for lambda_1 is a
-    lower-bound-only test.
-    """
-    if s.n < 5:
-        raise ValueError("interval table applies to spectra with n >= 5")
-    v = s.values
-    bad = []
-    if v[0] < LAMBDA1_LOW - PAPER_TOL:
-        bad.append(f"lambda1={v[0]:.6f} below {LAMBDA1_LOW}")
-    if not (LAMBDA2_LOW - PAPER_TOL <= v[1] < LAMBDA2_HIGH):
-        bad.append(f"lambda2={v[1]:.6f} outside [{LAMBDA2_LOW}, 0)")
-    if not (LAMBDA3_LOW - PAPER_TOL <= v[2] < LAMBDA3_HIGH):
-        bad.append(f"lambda3={v[2]:.6f} outside [{LAMBDA3_LOW}, {LAMBDA3_HIGH})")
-    if not (LAMBDA4_LOW - PAPER_TOL <= v[3] < LAMBDA4_HIGH):
-        bad.append(f"lambda4={v[3]:.6f} outside [{LAMBDA4_LOW}, {LAMBDA4_HIGH})")
-    for i in range(4, s.n - 1):
-        if abs(v[i] + 2.0) > 1e-9:
-            bad.append(f"lambda{i + 1}={v[i]:.6f} is not -2")
-    if v[-1] > LAMBDA_N_HIGH + PAPER_TOL:
-        bad.append(f"lambda_n={v[-1]:.6f} above {LAMBDA_N_HIGH}")
-    return not bad, bad

@@ -2,9 +2,10 @@
 
 Eigenvalues come from LAPACK's symmetric eigensolver through
 numpy.linalg.eigvalsh and are returned descending.  They are reported, and
-compared with the paper's 4-decimal reference values at PAPER_TOL; no
-verdict on an exactly known eigenvalue position reads them (verify decides
-those from the exact characteristic polynomial).  The last digits of an
+decide only the checks with no integer polynomial behind them: the closed
+cycle spectra and the interlacing comparisons.  verify places every other
+eigenvalue, against a bound or a 4-decimal reference at PAPER_TOL, by exact
+root counts on a characteristic polynomial.  The last digits of an
 eigenvalue may differ between numpy/BLAS builds.
 """
 

@@ -8,16 +8,17 @@ reference providers are injectable keyword arguments so the test suite can
 prove that single-coefficient faults in any transcription are detected
 with a localized witness.
 
-Every case-table verdict and pinned eigenvalue fact is exact: _versus
-places lambda_k against a rational by root counts on the exact charpoly.
-Floats are reported, compared with 4-decimal references at PAPER_TOL, and
-decide only the closed cycle spectra, the radical g-root bounds and the
-interlacing comparisons with T(c,c).
+Every root placement with an integer polynomial behind it is exact: root
+counts on that polynomial (exactpoly.root_counts) decide every case-table
+verdict, every pinned eigenvalue fact, the f/g root intervals and the
+4-decimal reference values, which are read as their decimal text with
+PAPER_TOL of slack.  Floats are reported, and decide only the two checks
+with no integer polynomial of their own: the closed cycle spectra (trig
+forms) and the interlacing comparisons with T(c,c).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,7 +30,6 @@ from .exactpoly import (
     bareiss_det,
     charpoly_exact,
     root_counts,
-    sign_at_rational,
 )
 from .graphs import distance_matrix, named_graph
 from .spectra import PAPER_TOL, Spectrum, eigenvalues_sym
@@ -83,11 +83,27 @@ def _result(lemma: str, witnesses: list, details: dict | None = None
     return VerificationResult(lemma, "fail" if witnesses else "pass", d)
 
 
+def _decimal(t) -> Fraction:
+    """t read exactly as its decimal text (a paper value like -1.7304);
+    ints and Fractions are kept as they are."""
+    return Fraction(str(t))
+
+
+_TOL = _decimal(PAPER_TOL)
+
+
 def _versus(p: IntPoly, k: int, t) -> int:
-    """Exact sign of lambda_k - t, where p is the charpoly of a symmetric
-    matrix (so every root is real) and t is read as its decimal text."""
-    above, at = root_counts(p, Fraction(str(t)))
+    """Exact sign of lambda_k - t, where lambda_k is the k-th largest root
+    of p, every root of p is real (p the charpoly of a symmetric matrix,
+    say) and t is read as its decimal text."""
+    above, at = root_counts(p, _decimal(t))
     return 1 if above >= k else 0 if above + at >= k else -1
+
+
+def _near(p: IntPoly, k: int, ref) -> bool:
+    """lambda_k of p within PAPER_TOL of the 4-decimal reference ref."""
+    t = _decimal(ref)
+    return _versus(p, k, t - _TOL) >= 0 >= _versus(p, k, t + _TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +139,8 @@ def verify_lemma22(max_ab: int = 8, closed_form=None) -> VerificationResult:
 def verify_interlacing_bounds(max_ab: int = 8) -> VerificationResult:
     """The five bounds inherited from T(1,1) below and the three bounds
     inherited from T(c,c) above, for all 1 <= a,b <= max_ab."""
+    if max_ab < 1:
+        raise ValueError("max_ab must be >= 1")
     witnesses = []
     tcc_cache: dict[int, Spectrum] = {}
     for a in range(1, max_ab + 1):
@@ -171,8 +189,8 @@ def verify_cycle_lemmas(max_n: int = 12) -> VerificationResult:
     if _versus(polys[4], 2, 0) != 0:
         witnesses.append({"fact": "lambda2(C4)=0",
                           "got": numeric_by_n[4].nth(2)})
-    if abs(numeric_by_n[5].nth(3) - (-0.3820)) > PAPER_TOL:
-        witnesses.append({"fact": "lambda3(C5)=-0.3820",
+    if not _near(polys[5], 3, forms.C5_LAMBDA3):
+        witnesses.append({"fact": f"lambda3(C5)={forms.C5_LAMBDA3:.4f}",
                           "got": numeric_by_n[5].nth(3)})
     for n in (6, 7):
         if _versus(polys[n], 5, -2) == 0:
@@ -188,8 +206,10 @@ def verify_cycle_lemmas(max_n: int = 12) -> VerificationResult:
     if _versus(charpoly_exact(forms.capped_cycle_matrix(6)), 5, -3) != 0:
         witnesses.append({"fact": "capped C6 lambda5 = -3",
                           "got": capped[6].nth(5)})
-    if abs(capped[7].nth(5) - (-1.5550)) > PAPER_TOL:
-        witnesses.append({"fact": "capped C7 lambda5 = -1.5550",
+    if not _near(charpoly_exact(forms.capped_cycle_matrix(7)), 5,
+                 forms.CAPPED_C7_LAMBDA5):
+        witnesses.append({"fact": "capped C7 lambda5 = "
+                                  f"{forms.CAPPED_C7_LAMBDA5:.4f}",
                           "got": capped[7].nth(5)})
     return _result("cycles", witnesses,
                    {"max_n": max_n,
@@ -430,93 +450,73 @@ def verify_theorem31(max_ab: int = 8) -> VerificationResult:
 # ---------------------------------------------------------------------------
 # f/g root intervals and the T(c,c) factorization
 
-_F_ENDPOINTS = tuple(Fraction(str(x)) for x in (
-    forms.LAMBDA4_LOW, forms.LAMBDA4_HIGH, forms.LAMBDA2_LOW,
-    forms.LAMBDA3_HIGH, forms.LAMBDA1_LOW))
+def _roots_in(p: IntPoly, lo=None, hi=None, closed=False) -> int:
+    """Roots of p, with multiplicity, in [lo, hi), or in [lo, hi] when
+    closed; a missing end is unbounded.  One root_counts call per given
+    end.  Exact when every root of p is real.  With lo given and neither
+    end a root, a count of 1 certifies exactly one root there even if p
+    has complex roots (Budan-Fourier: from lo to hi, the sign changes
+    root_counts reads drop by the roots in between plus an even number)."""
+    count = p.degree
+    if lo is not None:
+        count = sum(root_counts(p, lo))
+    if hi is not None:
+        above, at = root_counts(p, hi)
+        count -= above if closed else above + at
+    return count
 
 
-def _cubic_roots(p: IntPoly) -> list[float]:
-    """Real roots located by an integer scan for exact sign changes, then
-    bisection; assumes all roots real and separated by more than 1 (true
-    for the f cubics)."""
-    bound = 1 + max(abs(c) for c in p.coeffs)
-    xs = []
-    prev_x, prev_s = -bound, sign_at_rational(p, -bound)
-    x = -bound
-    while x <= bound:
-        x += 1
-        s = sign_at_rational(p, x)
-        if s == 0:
-            xs.append(float(x))
-            prev_x, prev_s = x, s
-            continue
-        if prev_s != 0 and s != prev_s:
-            a, b = float(prev_x), float(x)
-            for _ in range(200):
-                mid = (a + b) / 2
-                fm = p(mid)
-                if fm == 0:
-                    break
-                if (fm > 0) == (p(a) > 0):
-                    a = mid
-                else:
-                    b = mid
-            xs.append((a + b) / 2)
-        prev_x, prev_s = x, s
-    return sorted(xs)
+def _interval(lo, hi=None):
+    """(text, lo, hi) for the printed interval [lo, hi), hi None for
+    [lo, inf)."""
+    text = f"[{lo:g}, {'inf' if hi is None else format(hi, 'g')})"
+    return text, _decimal(lo), None if hi is None else _decimal(hi)
+
+
+# the printed intervals holding f_c's three roots; for c = 1 the printed
+# -1.7304 truncates the root itself (about -1.7304158), so there the first
+# interval starts at -1.7305
+_F_INTERVALS = (_interval(forms.LAMBDA4_LOW, forms.LAMBDA4_HIGH),
+                _interval(forms.LAMBDA2_LOW, forms.LAMBDA3_HIGH),
+                _interval(forms.LAMBDA1_LOW))
+_F1_INTERVALS = (_interval(-1.7305, forms.LAMBDA4_HIGH), *_F_INTERVALS[1:])
 
 
 def verify_fg_roots(max_c: int = 100) -> VerificationResult:
-    """One f-root per printed interval certified by exact sign changes
-    (c >= 2), the c=1 base case at 5e-5, radical-root bounds for g, and the
-    T(c,c) factorization identity for c = 1..6."""
+    """Exactly one f-root in each printed interval, the c=1 roots within
+    PAPER_TOL of the printed values, g's lower root at most -5.2361 and its
+    upper root in [-0.7639, 0) (both at PAPER_TOL), all by exact root
+    counts; and the T(c,c) factorization identity for c = 1..6."""
     if max_c < 1:
         raise ValueError("max_c must be >= 1")
     witnesses = []
+    g_low_top = _decimal(forms.LAMBDA_N_HIGH) + _TOL
+    g_high_low = _decimal(forms.LAMBDA3_LOW) - _TOL
+    g_high_top = _decimal(forms.LAMBDA2_HIGH)
 
-    # c = 1: the printed endpoints are 4-decimal truncations of the roots
-    # themselves, so certify by root proximity plus a sign change on a
-    # widened first interval (the true root sits ~1.9e-5 left of -1.7304)
     f1 = forms.f_poly(1)
-    roots = _cubic_roots(f1)
-    for root, ref in zip(roots, (forms.LAMBDA4_LOW, forms.LAMBDA2_LOW,
-                                 forms.LAMBDA1_LOW)):
-        if abs(root - ref) > PAPER_TOL:
-            witnesses.append({"check": "c=1 root proximity",
-                              "root": root, "reference": ref})
-    c1_signs = [
-        ("f1(-1.7305) > 0",
-         sign_at_rational(f1, Fraction(-17305, 10000)) == 1),
-        ("f1(-1.5774) < 0", sign_at_rational(f1, _F_ENDPOINTS[1]) == -1),
-        ("f1(-0.5578) < 0", sign_at_rational(f1, _F_ENDPOINTS[2]) == -1),
-        ("f1(-0.4226) > 0", sign_at_rational(f1, _F_ENDPOINTS[3]) == 1),
-        ("f1(8.2882) > 0", sign_at_rational(f1, _F_ENDPOINTS[4]) == 1),
-    ]
-    for name, ok in c1_signs:
-        if not ok:
-            witnesses.append({"check": name, "c": 1})
-
-    for c in range(2, max_c + 1):
-        f = forms.f_poly(c)
-        signs = [sign_at_rational(f, e) for e in _F_ENDPOINTS]
-        # +,-,-,+,+ with leading coefficient -1 puts exactly one root in
-        # each of [-1.7304,-1.5774), [-0.5578,-0.4226), [8.2882, inf)
-        if signs != [1, -1, -1, 1, 1]:
-            witnesses.append({"check": "exact sign pattern", "c": c,
-                              "signs": signs})
-
+    for k, ref in ((3, forms.LAMBDA4_LOW), (2, forms.LAMBDA2_LOW),
+                   (1, forms.LAMBDA1_LOW)):
+        if not _near(f1, k, ref):
+            witnesses.append({"check": "c=1 root proximity", "k": k,
+                              "reference": ref})
     for c in range(1, max_c + 1):
-        rad = math.sqrt(c * c + 4 * c)
-        lo, hi = -(c + 2) - rad, -(c + 2) + rad
-        if lo > forms.LAMBDA_N_HIGH + PAPER_TOL:
+        f = forms.f_poly(c)
+        for text, lo, hi in _F1_INTERVALS if c == 1 else _F_INTERVALS:
+            count = _roots_in(f, lo, hi)
+            if count != 1:
+                witnesses.append({"check": f"one f root in {text}", "c": c,
+                                  "roots": count})
+
+        # g's two roots are real (discriminant 4c^2 + 16c > 0)
+        g = forms.g_poly(c)
+        if _roots_in(g, hi=g_low_top, closed=True) < 1:
             witnesses.append({"check": "g lower root <= "
-                                       f"{forms.LAMBDA_N_HIGH:g}",
-                              "c": c, "root": lo})
-        if not (forms.LAMBDA3_LOW - PAPER_TOL <= hi < forms.LAMBDA2_HIGH):
+                                       f"{forms.LAMBDA_N_HIGH:g}", "c": c})
+        if _roots_in(g, g_high_low) < 1 or _roots_in(g, g_high_top) > 0:
             witnesses.append({"check": "g upper root in "
                                        f"[{forms.LAMBDA3_LOW:g}, "
-                                       f"{forms.LAMBDA2_HIGH:g})",
-                              "c": c, "root": hi})
+                                       f"{forms.LAMBDA2_HIGH:g})", "c": c})
 
     # factorization: (-L-2)^(2c-2) * g * f == charpoly(D(T(c,c))), and the
     # symbolic quintic identity g*f == p_{c,c}

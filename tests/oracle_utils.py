@@ -1,13 +1,18 @@
-"""Independent brute-force oracles shared by the mate and acceptance tests.
+"""Helpers shared by the unit and acceptance tests.
 
-All edge subsets, bucketed by a cheap invariant, deduplicated by a
-permutation backtracking isomorphism test.  Deliberately shares no code
-with the canonical-augmentation generator it cross-checks.
+Independent brute-force oracles: all edge subsets, bucketed by a cheap
+invariant, deduplicated by a permutation backtracking isomorphism test.
+They deliberately share no code with the canonical-augmentation generator
+they cross-check.  Also the paper's T(a,b) interval table, checked exactly
+on a characteristic polynomial.
 """
 
 from itertools import combinations, permutations
 
+from specgraph import forms
+from specgraph.exactpoly import root_counts
 from specgraph.graphs import Graph
+from specgraph.verify import _TOL, _decimal, _versus
 
 
 def bf_connected(rows, n):
@@ -144,3 +149,27 @@ def fl_charpoly(matrix):
         assert r == 0, "Faddeev-LeVerrier division not exact"
         c[n - k] = q
     return tuple(-x for x in c) if n % 2 else tuple(c)
+
+
+def interval_table_violations(p):
+    """The rows of T(a,b)'s interval table (forms) that the real-rooted
+    order-n charpoly p violates, decided exactly by root counts: a printed
+    4-decimal end gets PAPER_TOL of slack, 0 and the open ends none, and
+    lambda_5..lambda_{n-1} = -2 is the multiplicity of -2 being n - 5 (with
+    lambda_4 > -2 > lambda_n from the other rows)."""
+    n = p.degree
+    bad = []
+    if _versus(p, 1, _decimal(forms.LAMBDA1_LOW) - _TOL) < 0:
+        bad.append(f"lambda1 below {forms.LAMBDA1_LOW}")
+    for k, low, high in ((2, forms.LAMBDA2_LOW, forms.LAMBDA2_HIGH),
+                         (3, forms.LAMBDA3_LOW, forms.LAMBDA3_HIGH),
+                         (4, forms.LAMBDA4_LOW, forms.LAMBDA4_HIGH)):
+        if (_versus(p, k, _decimal(low) - _TOL) < 0
+                or _versus(p, k, high) >= 0):
+            bad.append(f"lambda{k} outside [{low}, {high})")
+    mult = root_counts(p, -2)[1]
+    if mult != n - 5:
+        bad.append(f"-2 has multiplicity {mult}, not {n - 5}")
+    if _versus(p, n, _decimal(forms.LAMBDA_N_HIGH) + _TOL) > 0:
+        bad.append(f"lambda_n above {forms.LAMBDA_N_HIGH}")
+    return bad

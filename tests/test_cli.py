@@ -136,6 +136,19 @@ class TestVerify:
                                "--no-timestamp")
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "lemma22", "--max-ab", "0"),
+        ("verify", "cycles", "--max-n", "5"),
+        ("verify", "fg-roots", "--max-c", "0"),
+        ("verify", "theorem31", "--max-ab", "1"),
+        ("verify", "interlacing", "--max-ab", "0"),
+        ("report", "--max-ab", "0")])
+    def test_out_of_range_bound_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--no-timestamp")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "must be >=" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, "verify", "cycles", "--max-n", "9",
@@ -293,6 +306,20 @@ class TestMateSearch:
         assert doc["input_diagnostics"] == ["line 6: order 4, expected 5"]
         assert doc["total_graphs"] == 21
         assert doc["ds"]["status"] == "pass"
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_diagnostics_warned_on_stderr(self, capsys, tmp_path, fmt):
+        good = [to_graph6(g) for g in enumerate_connected(5)]
+        four = to_graph6(next(enumerate_connected(4)))
+        clean, mixed = tmp_path / "clean.g6", tmp_path / "mixed.g6"
+        clean.write_text("\n".join(good) + "\n")
+        mixed.write_text("\n".join(good[:5] + [four] + good[5:]) + "\n")
+        runs = [run_cli(capsys, "mate-search", "--n", "5", "--input",
+                        str(path), "--format", fmt, "--no-timestamp")
+                for path in (clean, mixed)]
+        assert runs[0] == (0, runs[1][1], "")
+        assert runs[1] == (0, runs[0][1],
+                           "warning: line 6: order 4, expected 5\n")
 
     def test_input_of_another_order_exit_2(self, capsys, tmp_path):
         path = tmp_path / "n5.g6"

@@ -1,4 +1,4 @@
-"""Exact polynomial kernels: FL charpoly, Bareiss, division, signs."""
+"""Exact polynomial kernels: FL charpoly, Bareiss, division, root counts."""
 
 import math
 import random
@@ -17,7 +17,6 @@ from specgraph.exactpoly import (
     charpoly_exact,
     charpoly_rows,
     root_counts,
-    sign_at_rational,
 )
 from specgraph.graphs import distance_matrix, named_graph
 
@@ -376,7 +375,7 @@ class TestRootMultiplicity:
             r = rng.randint(-3, 3)
             k = rng.randint(0, 4)
             q = IntPoly([rng.randint(1, 5), rng.randint(-4, 4), 1])
-            while sign_at_rational(q, r) == 0:
+            while q(r) == 0:
                 q = q + 1
             p = IntPoly([-r, 1]) ** k * q
             assert root_counts(p, r)[1] == k
@@ -389,7 +388,7 @@ class TestRootMultiplicity:
                     acc = coeffs[i] + acc * r
                     quot[i - 1] = acc
                 deflated = IntPoly(quot)
-            assert sign_at_rational(deflated, r) != 0
+            assert deflated(r) != 0
 
 
 def _random_symmetric(rng, n):
@@ -474,26 +473,3 @@ class TestRootCounts:
         with pytest.raises(ValueError):
             root_counts(IntPoly(), 0)
 
-
-class TestSignAtRational:
-    def f_poly(self, c):
-        # -L^3 + 6c L^2 + (12c+6) L + (4c+4)
-        return IntPoly([4 * c + 4, 12 * c + 6, 6 * c, -1])
-
-    def test_root_gives_zero(self):
-        assert sign_at_rational(IntPoly([-1, 0, 1]), 1) == 0
-
-    def test_cubic_sign_just_right_of_left_interval_endpoint(self):
-        assert sign_at_rational(self.f_poly(2), Fraction(-17304, 10000)) == 1
-
-    def test_cubic_sign_at_derivative_root(self):
-        assert sign_at_rational(self.f_poly(1), Fraction(-15774, 10000)) == -1
-
-    def test_matches_float_when_safe(self):
-        rng = random.Random(53)
-        for _ in range(50):
-            p = IntPoly([rng.randint(-6, 6) for _ in range(5)])
-            q = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
-            val = p(q)
-            expected = (val > 0) - (val < 0)
-            assert sign_at_rational(p, q) == expected

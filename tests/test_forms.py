@@ -2,6 +2,8 @@
 
 import pytest
 
+from oracle_utils import interval_table_violations
+
 from specgraph.exactpoly import IntPoly, MPoly, charpoly_exact
 from specgraph.forms import (
     MatrixTemplate,
@@ -15,7 +17,6 @@ from specgraph.forms import (
     g_poly,
     g_poly_sym,
     hat_matrix,
-    interval_table_check,
     metric_feasible,
     p_ab,
     p_cc_sym,
@@ -295,28 +296,26 @@ class TestAppendixTables:
 
 
 class TestIntervalTable:
-    def spectrum_of(self, *name):
-        return eigenvalues_sym(distance_matrix(named_graph(*name)))
+    """The table checked exactly on the charpoly (oracle_utils)."""
+
+    def violations(self, *name):
+        return interval_table_violations(
+            charpoly_exact(distance_matrix(named_graph(*name))))
 
     def test_t11_passes(self):
-        ok, bad = interval_table_check(self.spectrum_of("T", 1, 1))
-        assert ok, bad
+        assert self.violations("T", 1, 1) == []
 
     def test_t52_passes(self):
-        ok, bad = interval_table_check(self.spectrum_of("T", 5, 2))
-        assert ok, bad
+        assert self.violations("T", 5, 2) == []
 
     def test_full_grid_passes(self):
         for a in range(1, 9):
             for b in range(1, 9):
-                ok, bad = interval_table_check(self.spectrum_of("T", a, b))
-                assert ok, (a, b, bad)
+                assert self.violations("T", a, b) == [], (a, b)
 
     def test_c8_fails(self):
-        ok, bad = interval_table_check(self.spectrum_of("C", 8))
-        assert not ok
-        assert bad
-
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            interval_table_check(self.spectrum_of("K", 4))
+        # C8's spectrum is 16, 0 (three times), -1.17 and -6.83 (twice
+        # each): lambda2 = 0 exactly is outside [-0.5578, 0)
+        bad = self.violations("C", 8)
+        assert "lambda2 outside [-0.5578, 0.0)" in bad
+        assert "-2 has multiplicity 0, not 3" in bad

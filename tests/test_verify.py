@@ -1,11 +1,12 @@
 """Verifier suite: pass status at desk bounds, witnesses on injected faults."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from specgraph import forms, verify
-from specgraph.exactpoly import MPoly, charpoly_exact
+from specgraph.exactpoly import IntPoly, MPoly, charpoly_exact
 from specgraph.graphs import distance_matrix, named_graph
 from specgraph.spectra import Spectrum
 from specgraph.verify import (
@@ -48,6 +49,11 @@ class TestInterlacing:
     def test_t11_equality_case_included(self):
         assert verify_interlacing_bounds(1).ok
 
+    @pytest.mark.parametrize("max_ab", [0, -3])
+    def test_rejects_empty_range(self, max_ab):
+        with pytest.raises(ValueError):
+            verify_interlacing_bounds(max_ab)
+
     def test_witness_names(self, monkeypatch):
         # spectra far above and far below every bound name each of the
         # eight checks, from forms' interval table, in the reported text
@@ -75,6 +81,19 @@ class TestCycles:
         with pytest.raises(ValueError):
             verify_cycle_lemmas(7)
 
+    @pytest.mark.parametrize("name,fact", [
+        ("C5_LAMBDA3", "lambda3(C5)="),
+        ("CAPPED_C7_LAMBDA5", "capped C7 lambda5 = ")])
+    @pytest.mark.parametrize("shift", [1e-4, -1e-4])
+    def test_moved_reference_fails(self, monkeypatch, name, fact, shift):
+        # the true values, -0.381966 and -1.554958, sit within 5e-5 of the
+        # printed ones; 1e-4 away they do not
+        moved = round(getattr(forms, name) + shift, 4)
+        monkeypatch.setattr(forms, name, moved)
+        r = verify_cycle_lemmas(8)
+        assert [w["fact"] for w in r.details["witnesses"]] == \
+            [f"{fact}{moved:.4f}"]
+
 
 class TestVersus:
     def test_tab_minus_two_run(self):
@@ -96,6 +115,27 @@ class TestVersus:
         assert verify._versus(p, 2, 0.0) == 0
         assert verify._versus(p, 2, 1e-12) == -1
         assert verify._versus(p, 2, -1e-12) == 1
+
+
+class TestRootsIn:
+    # (L + 2)^2 L (L - 1): roots -2 twice, 0 and 1
+    p = IntPoly([2, 1]) ** 2 * IntPoly([0, 1]) * IntPoly([-1, 1])
+
+    def test_half_open(self):
+        assert verify._roots_in(self.p, -2, 0) == 2
+        assert verify._roots_in(self.p, Fraction(-5, 2), -2) == 0
+        assert verify._roots_in(self.p, 0) == 2
+        assert verify._roots_in(self.p, hi=-2) == 0
+
+    def test_closed(self):
+        assert verify._roots_in(self.p, -2, 0, closed=True) == 3
+        assert verify._roots_in(self.p, hi=-2, closed=True) == 2
+        assert verify._roots_in(self.p, Fraction(-1, 2), 1, closed=True) \
+            == 2
+
+    def test_unbounded(self):
+        assert verify._roots_in(self.p) == 4
+        assert verify._roots_in(self.p, Fraction(1, 2)) == 1
 
 
 class TestCaseTables:
@@ -259,6 +299,20 @@ class TestFgRoots:
 
     def test_passes_c1_alone(self):
         assert verify_fg_roots(1).ok
+
+    @pytest.mark.parametrize("name,power", [
+        ("f_poly", 0), ("f_poly", 1), ("f_poly", 2), ("f_poly", 3),
+        ("g_poly", 0), ("g_poly", 2)])
+    def test_perturbed_coefficient_misplaces_a_root(self, monkeypatch, name,
+                                                    power):
+        # caught by the root counts themselves, not only by the T(c,c)
+        # factorization check beside them
+        original = getattr(forms, name)
+        monkeypatch.setattr(
+            forms, name, lambda c: original(c) + IntPoly([0] * power + [1]))
+        checks = {w["check"]
+                  for w in verify_fg_roots(3).details["witnesses"]}
+        assert checks - {"T(c,c) factorization"}
 
 
 class TestRunVerifier:
