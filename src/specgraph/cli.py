@@ -175,19 +175,16 @@ def cmd_mate_search(args) -> int:
     else:
         raise UsageError("mate-search needs --n or --tab")
 
-    errors: list[str] = []
+    problems = []
     try:
         if args.input:
-            classes = mate.cospectral_classes(
-                mate.ingest_graph6(
-                    args.input, order=order,
-                    on_error=lambda ln, msg: errors.append(
-                        f"line {ln}: {msg}")),
-                jobs=jobs)
+            classes, problems = mate.cospectral_classes_graph6(
+                args.input, order, jobs=jobs)
         else:
             classes = mate.cospectral_classes_builtin(order, jobs=jobs)
     except (ValueError, OSError) as exc:
         raise UsageError(str(exc)) from exc
+    errors = [f"line {ln}: {msg}" for ln, msg in problems]
 
     verdict = None
     if a is not None:
@@ -210,7 +207,7 @@ def cmd_mate_search(args) -> int:
     elif args.format == "csv":
         _emit(args, classes.to_csv())
     else:
-        multi = sum(len(m) > 1 for m in classes.classes.values())
+        multi = sum(k > 1 for k in classes.distinct_sizes())
         lines = [f"order {classes.order}: {classes.total} graphs, "
                  f"{len(classes.classes)} charpoly classes",
                  f"classes with cospectral mates: {multi}"]

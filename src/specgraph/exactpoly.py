@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb, isqrt
+from operator import itemgetter
 
 import numpy as np
 
@@ -125,26 +126,28 @@ class IntPoly:
         return f"IntPoly({self.text()})"
 
 
+# parameters in name order (a', b', c, c'), as indices into an exponent
+_PARAMS = tuple((_VAR_INDEX[p], p) for p in sorted(VARS[1:]))
+_RANK = itemgetter(0, *(i for i, _ in _PARAMS))
+
+
+def _term_key(item):
+    """The L power, then the parameter powers in name order; exponents
+    are distinct, so the descending order is total."""
+    return _RANK(item[0])
+
+
 def _render_terms(items) -> str:
     """Canonical text: descending L powers, parameters in name order."""
     if not items:
         return "0"
-    param_order = sorted(VARS[1:])  # lexicographic: a', b', c, c'
-
-    def sort_key(item):
-        exp, _ = item
-        params = tuple(-exp[_VAR_INDEX[p]] for p in param_order)
-        return (-exp[0],) + params
-
     parts = []
-    for exp, coeff in sorted(items, key=sort_key):
-        factors = []
-        if exp[0]:
-            factors.append("L" if exp[0] == 1 else f"L^{exp[0]}")
-        for p in param_order:
-            e = exp[_VAR_INDEX[p]]
-            if e:
-                factors.append(p if e == 1 else f"{p}^{e}")
+    for exp, coeff in sorted(items, key=_term_key, reverse=True):
+        power = exp[0]
+        factors = [] if not power else ["L"] if power == 1 else [f"L^{power}"]
+        if exp[1] or exp[2] or exp[3] or exp[4]:
+            factors += [p if exp[i] == 1 else f"{p}^{exp[i]}"
+                        for i, p in _PARAMS if exp[i]]
         mag = abs(coeff)
         if not factors:
             body = str(mag)

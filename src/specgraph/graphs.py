@@ -2,9 +2,11 @@
 
 Vertices are 0..n-1 and each adjacency row is one Python int used as a
 bitmask, so n is capped at 64.  Everything here is immutable and pure:
-graphs, BFS distance matrices, the graph6 codec and the one isomorphism
-engine, a canonical labeling search whose form decides isomorphism and
-whose automorphism generators drive generation in specgraph.mate.
+graphs, BFS reachability, distance matrices for a whole stack of
+same-order graphs at once (numpy reach-set products), the graph6 codec
+and the one isomorphism engine, a canonical labeling search whose form
+decides isomorphism and whose automorphism generators drive generation in
+specgraph.mate.
 
 Named families:
 
@@ -23,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 MAX_VERTICES = 64
 
@@ -286,36 +290,36 @@ def is_connected(g: Graph) -> bool:
     return _bfs_reach(g.rows, 0) == (1 << g.n) - 1
 
 
+def distance_matrices(rows, n: int) -> np.ndarray:
+    """All-pairs distances of same-order connected graphs given as bit
+    rows, as an int64 (B, n, n) stack.
+
+    Step k turns the 0/1 reach sets within k - 1 edges into those within k
+    by one float32 product with A + I per graph (the products are counts
+    of at most n, so exact); d(u, w) counts the steps k >= 0 after which w
+    is still out of reach from u.  Raises DisconnectedError if some graph
+    is still unreached after n - 1 steps.
+    """
+    bits = np.array(rows, dtype=np.uint64).reshape(-1, n)
+    step = (bits[:, :, None] >> np.arange(n, dtype=np.uint64)
+            & np.uint64(1)).astype(np.float32)
+    diag = np.arange(n)
+    step[:, diag, diag] = 1
+    dist = np.broadcast_to(1 - np.eye(n, dtype=np.int64),
+                           step.shape).copy()
+    reach = step
+    for _ in range(n):
+        unreached = reach == 0
+        if not unreached.any():
+            return dist
+        dist += unreached
+        reach = np.minimum(reach @ step, 1)
+    raise DisconnectedError("distance matrix requires a connected graph")
+
+
 def distance_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """All-pairs BFS distances as a tuple of int tuples."""
-    n = g.n
-    rows = g.rows
-    dist = []
-    for s in range(n):
-        d = [-1] * n
-        d[s] = 0
-        seen = 1 << s
-        frontier = seen
-        level = 0
-        while frontier:
-            level += 1
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= rows[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                d[v] = level
-        if seen != (1 << n) - 1:
-            raise DisconnectedError("distance matrix requires a connected graph")
-        dist.append(tuple(d))
-    return tuple(dist)
+    """All-pairs distances as a tuple of int tuples."""
+    return tuple(map(tuple, distance_matrices([g.rows], g.n)[0].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -27,19 +27,23 @@ classes.
 Cospectrality is decided exactly: the fingerprint is the coefficient
 vector of the distance characteristic polynomial, encoded degree-descending
 as length-prefixed two's-complement bytes.  Equal fingerprints therefore
-mean identical exact charpolys; no float ever touches a classing decision.
-Fingerprinting is one exactpoly.charpoly_rows call per chunk: every matrix
-whose largest entry a rigorously computed magnitude bound admits goes
-through one int64 batch, and all the others through one batch modulo
-word-size primes lifted exactly by the Chinese remainder theorem, so a few
-large-diameter graphs do not slow down the rest of their chunk.
+mean identical exact charpolys; no rounded float ever touches a classing
+decision.  Fingerprinting a chunk is one graphs.distance_matrices stack
+(0/1 reach products, exact in float32) and one exactpoly.charpoly_rows
+call on it: every matrix whose largest entry a rigorously computed
+magnitude bound admits goes through one int64 batch, and all the others
+through one batch modulo word-size primes lifted exactly by the Chinese
+remainder theorem, so a few large-diameter graphs do not slow down the
+rest of their chunk.
 
-Both class tables run one pipeline: a source of tasks, one worker that
+Every class table runs one pipeline: a source of tasks, one worker that
 fingerprints a task's graphs a chunk at a time, and one merge in the
-parent.  The built-in source is level n-1 cut into slices of parents,
-each task generating its own connected children; the graph6 source is the
-stream cut into chunks as it is read, so on a pool the workers start on
-the first chunks while the rest are still being parsed.
+parent, which also gathers the tasks' input diagnostics.  The built-in
+source is level n-1 cut into slices of parents, each task generating its
+own connected children; the graph6 source is the file cut into chunks of
+numbered lines as it is read, each task parsing and checking its own
+lines, so the parent only reads and on a pool the workers start on the
+first chunks while the rest are still being read.
 
 A determined-by-spectrum verdict from a stream, unlike one from the
 built-in table, passes only if the stream holds exactly A001349(n)
@@ -52,17 +56,20 @@ import hashlib
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from multiprocessing import get_context
 
 from .exactpoly import IntPoly, charpoly_rows
 from .graphs import (
     Graph,
+    GraphError,
     _bfs_reach,
     _nbr_key,
     _refine,
     _search,
     canonical_form,
+    distance_matrices,
     distance_matrix,
     from_graph6,
     is_connected,
@@ -288,10 +295,9 @@ def fingerprint_text(fp: bytes) -> str:
     return IntPoly(tuple(reversed(desc))).text()
 
 
-def _fingerprints(dists: list) -> list[bytes]:
-    """Fingerprints of equal-size distance matrices, in input order."""
-    if not dists:
-        return []
+def _fingerprints(dists) -> list[bytes]:
+    """Fingerprints of a nonempty stack of equal-size distance matrices, in
+    input order."""
     return [_encode_coeffs(row[::-1]) for row in charpoly_rows(dists)]
 
 
@@ -317,6 +323,14 @@ class CospectralClasses:
                 for fp, members in self.classes.items()]
         rows.sort(key=lambda row: row[0])
         return rows
+
+    def distinct_sizes(self) -> list[int]:
+        """The number of pairwise non-isomorphic members of each class.
+        Isomorphic graphs are cospectral, so only classes of two or more
+        members need canonical forms."""
+        return [len({canonical_form(from_graph6(g6)) for g6 in members})
+                if len(members) > 1 else 1
+                for members in self.classes.values()]
 
     def to_json_dict(self) -> dict:
         return {
@@ -349,29 +363,58 @@ def _pool_size(jobs: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1))
 
 
-def _class_part(graphs) -> tuple[int, dict]:
-    """Graph count and fingerprint -> graph6 members of an iterable of
-    graphs, fingerprinted _CHUNK at a time."""
+def _class_part(graphs, problems=()) -> tuple[int, dict, list]:
+    """A task's result: the graph count and fingerprint -> graph6 members
+    of an iterable of same-order graphs, fingerprinted _CHUNK at a time on
+    one stack of distance matrices, with the task's input diagnostics."""
     part: dict[bytes, list[str]] = {}
     count = 0
     graphs = iter(graphs)
     while chunk := list(islice(graphs, _CHUNK)):
-        fps = _fingerprints([distance_matrix(g) for g in chunk])
-        for g, fp in zip(chunk, fps):
+        dists = distance_matrices([g.rows for g in chunk], chunk[0].n)
+        for g, fp in zip(chunk, _fingerprints(dists)):
             part.setdefault(fp, []).append(to_graph6(g))
         count += len(chunk)
-    return count, part
+    return count, part, list(problems)
 
 
-def _children_part(parents) -> tuple[int, dict]:
+def _children_part(parents) -> tuple[int, dict, list]:
     """The built-in task: the class part of a parent slice's connected
     children."""
     return _class_part(_connected_children(parents))
 
 
-def _classify(work, tasks, jobs: int) -> tuple[int, dict]:
+def _graph6_part(order: int, lines) -> tuple[int, dict, list]:
+    """The graph6 task: the class part of a chunk of (line number, text)
+    lines of a stream.
+
+    Blank lines are skipped.  A malformed line, a disconnected graph (no
+    distance matrix) or a graph of another order than order is skipped
+    with a (line number, message) diagnostic.
+    """
+    graphs, problems = [], []
+    for lineno, line in lines:
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            g = from_graph6(text)
+        except GraphError as exc:
+            problems.append((lineno, str(exc)))
+            continue
+        if not is_connected(g):
+            problems.append((lineno, "disconnected graph"))
+        elif g.n != order:
+            problems.append((lineno, f"order {g.n}, expected {order}"))
+        else:
+            graphs.append(g)
+    return _class_part(graphs, problems)
+
+
+def _classify(work, tasks, jobs: int) -> tuple[int, dict, list]:
     """Run work over tasks on up to jobs workers and merge the (count,
-    part) results.
+    part, diagnostics) results; the diagnostics come back sorted, so in
+    line order.
 
     The pool forks before the first task is drawn, so tasks may come from
     a generator that the pool's feeder thread runs while workers are busy;
@@ -381,16 +424,18 @@ def _classify(work, tasks, jobs: int) -> tuple[int, dict]:
     """
     jobs = _pool_size(jobs)
     acc: dict[bytes, list[str]] = {}
+    problems: list[tuple[int, str]] = []
     total = 0
     with (get_context("fork").Pool(jobs) if jobs > 1
           else nullcontext()) as pool:
         parts = (pool.imap_unordered(work, tasks) if pool is not None
                  else map(work, tasks))
-        for count, part in parts:
+        for count, part, found in parts:
             total += count
+            problems += found
             for fp, members in part.items():
                 acc.setdefault(fp, []).extend(members)
-    return total, acc
+    return total, acc, sorted(problems)
 
 
 def cospectral_classes(stream, jobs: int = 1) -> CospectralClasses:
@@ -418,7 +463,7 @@ def cospectral_classes(stream, jobs: int = 1) -> CospectralClasses:
         if chunk:
             yield chunk
 
-    total, acc = _classify(_class_part, chunks(), jobs)
+    total, acc, _ = _classify(_class_part, chunks(), jobs)
     return _finish(orders[0], acc, total)
 
 
@@ -431,45 +476,33 @@ def cospectral_classes_builtin(n: int, jobs: int = 1) -> CospectralClasses:
     # one serial task keeps a single part dict; workers get 8 slices each
     step = max(1, len(parents) // (jobs * 8)) if jobs > 1 else len(parents)
     tasks = [parents[i:i + step] for i in range(0, len(parents), step)]
-    total, acc = _classify(_children_part, tasks, jobs)
+    total, acc, _ = _classify(_children_part, tasks, jobs)
     _check_count("class table", n, total)
     return _finish(n, acc, total)
 
 
-# ---------------------------------------------------------------------------
-# graph6 ingestion
+def cospectral_classes_graph6(
+        path, order: int, jobs: int = 1
+) -> tuple[CospectralClasses, list[tuple[int, str]]]:
+    """Classes over the connected graphs of order `order` in a file of
+    graph6 lines, and the (line number, message) diagnostics of the lines
+    skipped (see _graph6_part), in line order.
 
-def ingest_graph6(path, on_error=None, order=None):
-    """Stream graphs from a file of graph6 lines.
-
-    Blank lines are skipped; malformed lines, disconnected graphs (no
-    distance matrix) and graphs of another order than a given one are
-    reported through on_error (line number, message) and skipped.  No
-    graph of the given order at all raises ValueError.
+    This process only reads the file, _CHUNK numbered lines per task; the
+    tasks, on a pool the workers, parse their lines.  No graph of the
+    order at all raises ValueError.
     """
-    found = False
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                g = from_graph6(text)
-            except Exception as exc:  # malformed line; keep streaming
-                problem = str(exc)
-            else:
-                if not is_connected(g):
-                    problem = "disconnected graph"
-                elif order is not None and g.n != order:
-                    problem = f"order {g.n}, expected {order}"
-                else:
-                    found = True
-                    yield g
-                    continue
-            if on_error is not None:
-                on_error(lineno, problem)
-    if order is not None and not found:
+    def chunks():
+        with open(path, "r", encoding="ascii", errors="replace") as fh:
+            lines = enumerate(fh, 1)
+            while chunk := list(islice(lines, _CHUNK)):
+                yield chunk
+
+    total, acc, problems = _classify(partial(_graph6_part, order), chunks(),
+                                     jobs)
+    if not total:
         raise ValueError(f"no connected graph of order {order} in {path}")
+    return _finish(order, acc, total), problems
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +561,7 @@ def stream_ds_verdict(a: int, b: int,
     verdict = ds_verdict(a, b, classes)
     n = classes.order
     expected = CONNECTED_COUNTS[n] if n < len(CONNECTED_COUNTS) else None
-    # isomorphic graphs are cospectral: only shared classes need forms
-    distinct = sum(len({canonical_form(from_graph6(g6)) for g6 in members})
-                   if len(members) > 1 else 1
-                   for members in classes.classes.values())
+    distinct = sum(classes.distinct_sizes())
     if classes.total == distinct == expected:
         return verdict
     details = dict(verdict.details, expected_graphs=expected,

@@ -425,8 +425,8 @@ def verify_hats(k: int, ref_p=None, ref_q=None,
 def verify_theorem31(max_ab: int = 8) -> VerificationResult:
     """(a+b, a*b) is injective on unordered pairs, and the full expanded
     charpolys are pairwise distinct as exact coefficient vectors."""
-    if max_ab < 2:
-        raise ValueError("max_ab must be >= 2")
+    if max_ab < 1:
+        raise ValueError("max_ab must be >= 1")
     witnesses = []
     pairs = [(a, b) for a in range(1, max_ab + 1)
              for b in range(a, max_ab + 1)]

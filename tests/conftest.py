@@ -12,12 +12,12 @@ from specgraph import mate
 def fake_pools(monkeypatch):
     """fake_pools(cpus) makes mate see cpus CPUs and run every pool's tasks
     in this process; it returns the [size, exception type at exit] of each
-    pool opened so far."""
+    pool opened so far, with "open" for a pool not yet exited."""
     pools = []
 
     class Pool:
         def __init__(self, size):
-            self.record = [size, None]
+            self.record = [size, "open"]
             pools.append(self.record)
 
         def __enter__(self):

@@ -1,7 +1,8 @@
 """Helpers shared by the unit and acceptance tests.
 
 Independent brute-force oracles: all edge subsets, bucketed by a cheap
-invariant, deduplicated by a permutation backtracking isomorphism test.
+invariant, deduplicated by a permutation backtracking isomorphism test;
+queue BFS distances.
 They deliberately share no code with the canonical-augmentation generator
 they cross-check.  Also the paper's T(a,b) interval table, checked exactly
 on a characteristic polynomial.
@@ -28,6 +29,27 @@ def bf_connected(rows, n):
                 seen.add(w)
                 stack.append(w)
     return len(seen) == n
+
+
+def bf_distances(rows, n):
+    """All-pairs distances as lists, by one queue BFS per source over
+    neighbour lists; None if some vertex is unreachable.  Shares no code
+    with graphs.distance_matrices."""
+    nbrs = [[w for w in range(n) if rows[v] >> w & 1] for v in range(n)]
+    dist = []
+    for s in range(n):
+        d = [None] * n
+        d[s] = 0
+        queue = [s]
+        for v in queue:
+            for w in nbrs[v]:
+                if d[w] is None:
+                    d[w] = d[v] + 1
+                    queue.append(w)
+        if None in d:
+            return None
+        dist.append(d)
+    return dist
 
 
 def bf_invariant(rows, n):

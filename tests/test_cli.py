@@ -140,7 +140,7 @@ class TestVerify:
         ("verify", "lemma22", "--max-ab", "0"),
         ("verify", "cycles", "--max-n", "5"),
         ("verify", "fg-roots", "--max-c", "0"),
-        ("verify", "theorem31", "--max-ab", "1"),
+        ("verify", "theorem31", "--max-ab", "0"),
         ("verify", "interlacing", "--max-ab", "0"),
         ("report", "--max-ab", "0")])
     def test_out_of_range_bound_exit_2(self, capsys, argv):
@@ -148,6 +148,16 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "must be >=" in err
+
+    def test_all_at_max_ab_1(self, capsys):
+        # theorem31 has one unordered pair at max_ab 1; only F2 fails
+        code, out, err = run_cli(capsys, "verify", "all", "--max-ab", "1",
+                                 "--format", "csv")
+        assert (code, err) == (1, "")
+        rows = dict(line.split(",") for line in out.splitlines()[1:])
+        assert rows.pop("case:F2") == "fail"
+        assert rows["theorem31"] == "pass"
+        assert set(rows.values()) == {"pass"}
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -320,6 +330,60 @@ class TestMateSearch:
         assert runs[0] == (0, runs[1][1], "")
         assert runs[1] == (0, runs[0][1],
                            "warning: line 6: order 4, expected 5\n")
+
+    def test_stream_copies_are_not_mates(self, capsys, tmp_path):
+        path = tmp_path / "copies.g6"
+        path.write_text(3 * (to_graph6(named_graph("T", 1, 1)) + "\n"))
+        code, out, _ = run_cli(capsys, "mate-search", "--n", "5", "--input",
+                               str(path), "--format", "text")
+        assert code == 0
+        assert out == ("order 5: 3 graphs, 1 charpoly classes\n"
+                       "classes with cospectral mates: 0\n")
+        code, out, _ = run_cli(capsys, "mate-search", "--n", "7",
+                               "--format", "text")
+        assert code == 0
+        assert "classes with cospectral mates: 11\n" in out
+
+    def _faulty_stream(self, tmp_path):
+        # with three lines per task, each fault falls in its own chunk
+        good = [to_graph6(g) for g in enumerate_connected(5)]
+        lines = (good[:1] + ["???bad"] + good[1:5] + ["D??"] + good[5:9]
+                 + [to_graph6(named_graph("P", 4))] + good[9:])
+        path = tmp_path / "faulty.g6"
+        path.write_text("\n".join(lines) + "\n")
+        return path, ["line 2: vertex count 0 outside 1..64 (byte offset 0)",
+                      "line 7: disconnected graph",
+                      "line 12: order 4, expected 5"]
+
+    def test_pool_parse_matches_serial(self, capsys, tmp_path, real_pool):
+        path, diagnostics = self._faulty_stream(tmp_path)
+        outs = []
+        for jobs in ("1", "2"):
+            target = tmp_path / f"jobs{jobs}.json"
+            code, _, _ = run_cli(capsys, "mate-search", "--tab", "1,1",
+                                 "--input", str(path), "--jobs", jobs,
+                                 "--no-timestamp", "--out", str(target))
+            assert code == 0
+            outs.append(target.read_bytes())
+        assert outs[0] == outs[1]
+        doc = json.loads(outs[0])
+        assert doc["input_diagnostics"] == diagnostics
+        assert doc["total_graphs"] == 21
+        code, out, err = run_cli(capsys, "mate-search", "--tab", "1,1",
+                                 "--input", str(path), "--jobs", "2",
+                                 "--format", "text")
+        assert code == 0
+        assert err == "".join(f"warning: {d}\n" for d in diagnostics)
+
+    def test_no_graph_of_the_order_closes_the_pool(self, capsys, tmp_path,
+                                                   fake_pools):
+        pools = fake_pools(2)
+        path, _ = self._faulty_stream(tmp_path)
+        code, out, err = run_cli(capsys, "mate-search", "--n", "6",
+                                 "--input", str(path), "--jobs", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no connected graph of order 6")
+        assert pools == [[2, None]]
 
     def test_input_of_another_order_exit_2(self, capsys, tmp_path):
         path = tmp_path / "n5.g6"

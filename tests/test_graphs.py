@@ -2,10 +2,12 @@
 isomorphism, graph6 codec."""
 
 import random
+from functools import cache
 from itertools import combinations
 
+import numpy as np
 import pytest
-from oracle_utils import bf_class_reps, bf_isomorphic
+from oracle_utils import bf_class_reps, bf_distances, bf_isomorphic
 
 from specgraph import mate
 from specgraph.graphs import (
@@ -14,6 +16,7 @@ from specgraph.graphs import (
     Graph6Error,
     GraphError,
     canonical_form,
+    distance_matrices,
     distance_matrix,
     from_graph6,
     is_connected,
@@ -31,6 +34,12 @@ def random_graph(n, p, rng):
 
 def largest_distance(g):
     return max(max(row) for row in distance_matrix(g))
+
+
+@cache
+def connected_graphs(n):
+    """One connected graph per class of order n, as a list."""
+    return [Graph(n, rows) for rows, _ in mate._level(n)]
 
 
 def random_connected_graph(n, p, rng):
@@ -180,6 +189,52 @@ class TestDistances:
                         assert (d[i][j] == 1) == g.adjacent(i, j)
                     for k in range(n):
                         assert d[i][k] <= d[i][j] + d[j][k]
+
+
+class TestDistanceMatrices:
+    """The batched reach-set distances against queue BFS."""
+
+    @staticmethod
+    def check(graphs):
+        got = distance_matrices([g.rows for g in graphs], graphs[0].n)
+        assert got.dtype == np.int64
+        assert got.shape == (len(graphs), graphs[0].n, graphs[0].n)
+        assert got.tolist() == [bf_distances(g.rows, g.n) for g in graphs]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_connected_graph_as_one_stack(self, n):
+        self.check(connected_graphs(n))
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_stacks_of_mixed_diameter(self, n):
+        graphs = list(connected_graphs(n))
+        random.Random(n).shuffle(graphs)
+        stacks = [graphs[i:i + 7] for i in range(0, len(graphs), 7)]
+        # the path, of the largest diameter, among complete-ish graphs
+        dense = sorted(graphs, key=Graph.edge_count)[-6:]
+        stacks.append(dense[:3] + [named_graph("P", n)] + dense[3:])
+        assert len({largest_distance(g) for g in stacks[-1]}) > 1
+        for stack in stacks:
+            self.check(stack)
+
+    @pytest.mark.parametrize("name", [("C", 27), ("P", 27), ("T", 12, 12),
+                                      ("P", 64), ("K", 64), ("K", 1)])
+    def test_single_large_graphs(self, name):
+        g = named_graph(*name)
+        self.check([g])
+        assert distance_matrix(g) == tuple(
+            map(tuple, bf_distances(g.rows, g.n)))
+
+    def test_one_disconnected_member_raises(self):
+        graphs = connected_graphs(5)
+        broken = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        for at in (0, 10, len(graphs)):
+            with pytest.raises(DisconnectedError):
+                distance_matrices(
+                    [g.rows for g in graphs[:at] + [broken] + graphs[at:]],
+                    5)
+        with pytest.raises(DisconnectedError):
+            distance_matrices([(0, 0)], 2)
 
 
 class TestConnectivity:

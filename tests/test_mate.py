@@ -19,12 +19,12 @@ from specgraph.graphs import (
 from specgraph.mate import (
     cospectral_classes,
     cospectral_classes_builtin,
+    cospectral_classes_graph6,
     decode_fingerprint,
     ds_verdict,
     enumerate_connected,
     fingerprint,
     fingerprint_text,
-    ingest_graph6,
 )
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -460,57 +460,64 @@ class TestClasses:
         assert len(lines) == 1 + 6  # n=4: all classes singletons
 
 
+def read_graph6(path, order, jobs=1):
+    """The sorted members and the diagnostics of a graph6 file's table."""
+    classes, problems = cospectral_classes_graph6(path, order, jobs=jobs)
+    members = sorted(g6 for m in classes.classes.values() for g6 in m)
+    assert classes.total == len(members)
+    return members, problems
+
+
 class TestIngest:
     def test_valid_lines(self, tmp_path):
         path = tmp_path / "graphs.g6"
         graphs = list(enumerate_connected(4))[:3]
         path.write_text("\n".join(to_graph6(g) for g in graphs) + "\n")
-        loaded = list(ingest_graph6(path))
-        assert loaded == graphs
+        assert read_graph6(path, 4) == (
+            sorted(to_graph6(g) for g in graphs), [])
 
     def test_malformed_line_among_valid(self, tmp_path):
         path = tmp_path / "graphs.g6"
         good = [to_graph6(g) for g in list(enumerate_connected(4))[:4]]
         path.write_text("\n".join(good[:2] + ["???bad"] + good[2:]) + "\n")
-        problems = []
-        loaded = list(ingest_graph6(
-            path, on_error=lambda ln, msg: problems.append((ln, msg))))
-        assert len(loaded) == 4
+        members, problems = read_graph6(path, 4)
+        assert members == sorted(good)
         assert len(problems) == 1
         assert problems[0][0] == 3
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "graphs.g6"
-        path.write_text("\n\n" + to_graph6(named_graph("P", 3)) + "\n\n")
-        assert len(list(ingest_graph6(path))) == 1
+        p3 = to_graph6(named_graph("P", 3))
+        path.write_text("\n\n" + p3 + "\n\n")
+        assert read_graph6(path, 3) == ([p3], [])
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.g6"
         path.write_text("")
-        assert list(ingest_graph6(path)) == []
-
+        with pytest.raises(ValueError, match="no connected graph of order"):
+            read_graph6(path, 4)
 
     def test_wrong_order_lines_are_diagnostics(self, tmp_path):
         path = tmp_path / "graphs.g6"
         five = [to_graph6(g) for g in list(enumerate_connected(5))[:3]]
         four = to_graph6(named_graph("P", 4))
         path.write_text("\n".join(five[:1] + [four] + five[1:]) + "\n")
-        problems = []
-        loaded = list(ingest_graph6(
-            path, order=5,
-            on_error=lambda ln, msg: problems.append((ln, msg))))
-        assert [to_graph6(g) for g in loaded] == five
-        assert problems == [(2, "order 4, expected 5")]
+        assert read_graph6(path, 5) == (sorted(five),
+                                        [(2, "order 4, expected 5")])
 
     def test_no_line_of_the_order_raises(self, tmp_path):
         path = tmp_path / "graphs.g6"
         path.write_text(to_graph6(named_graph("P", 4)) + "\n")
-        problems = []
         with pytest.raises(ValueError, match="order 5"):
-            list(ingest_graph6(
-                path, order=5,
-                on_error=lambda ln, msg: problems.append((ln, msg))))
-        assert problems == [(1, "order 4, expected 5")]
+            read_graph6(path, 5)
+
+    def test_members_are_reencoded(self, tmp_path):
+        # a 4-byte size header is valid graph6 below order 63 too, but the
+        # member is the short-header encoding
+        path = tmp_path / "graphs.g6"
+        t11 = to_graph6(named_graph("T", 1, 1))
+        path.write_text("~??D" + t11[1:] + "\n")
+        assert read_graph6(path, 5) == ([t11], [])
 
 
 class TestDsVerdict:
