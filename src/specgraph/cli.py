@@ -207,7 +207,11 @@ def cmd_mate_search(args) -> int:
     elif args.format == "csv":
         _emit(args, classes.to_csv())
     else:
-        multi = sum(k > 1 for k in classes.distinct_sizes())
+        # built-in members are pairwise non-isomorphic; a stream may repeat
+        # one graph, and its copies are no mates
+        sizes = (classes.distinct_sizes() if args.input
+                 else map(len, classes.classes.values()))
+        multi = sum(k > 1 for k in sizes)
         lines = [f"order {classes.order}: {classes.total} graphs, "
                  f"{len(classes.classes)} charpoly classes",
                  f"classes with cospectral mates: {multi}"]

@@ -119,8 +119,8 @@ class IntPoly:
         return MPoly(terms)
 
     def text(self) -> str:
-        return _render_terms(
-            [((i, 0, 0, 0, 0), c) for i, c in enumerate(self.coeffs) if c])
+        return _join_terms((_l_power(i), c) for i, c
+                           in reversed(tuple(enumerate(self.coeffs))) if c)
 
     def __repr__(self):
         return f"IntPoly({self.text()})"
@@ -137,29 +137,37 @@ def _term_key(item):
     return _RANK(item[0])
 
 
+def _l_power(k: int) -> str:
+    return f"L^{k}" if k > 1 else "L" if k else ""
+
+
+def _monomial(exp) -> str:
+    """L first, then the parameters in name order, joined by '*'."""
+    factors = [_l_power(exp[0])] if exp[0] else []
+    factors += [p if exp[i] == 1 else f"{p}^{exp[i]}"
+                for i, p in _PARAMS if exp[i]]
+    return "*".join(factors)
+
+
 def _render_terms(items) -> str:
-    """Canonical text: descending L powers, parameters in name order."""
-    if not items:
-        return "0"
+    """Canonical text of (exponent, coefficient) items: descending L
+    powers, parameters in name order."""
+    return _join_terms((_monomial(exp), coeff) for exp, coeff
+                       in sorted(items, key=_term_key, reverse=True))
+
+
+def _join_terms(terms) -> str:
+    """The one renderer: ordered (monomial, coefficient) terms, '' the
+    constant monomial, as signed text."""
     parts = []
-    for exp, coeff in sorted(items, key=_term_key, reverse=True):
-        power = exp[0]
-        factors = [] if not power else ["L"] if power == 1 else [f"L^{power}"]
-        if exp[1] or exp[2] or exp[3] or exp[4]:
-            factors += [p if exp[i] == 1 else f"{p}^{exp[i]}"
-                        for i, p in _PARAMS if exp[i]]
+    for mono, coeff in terms:
         mag = abs(coeff)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
         if not parts:
             parts.append(body if coeff > 0 else f"-{body}")
         else:
             parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(parts)
+    return " ".join(parts) or "0"
 
 
 class MPoly:

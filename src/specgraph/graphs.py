@@ -2,11 +2,9 @@
 
 Vertices are 0..n-1 and each adjacency row is one Python int used as a
 bitmask, so n is capped at 64.  Everything here is immutable and pure:
-graphs, BFS reachability, distance matrices for a whole stack of
-same-order graphs at once (numpy reach-set products), the graph6 codec
-and the one isomorphism engine, a canonical labeling search whose form
-decides isomorphism and whose automorphism generators drive generation in
-specgraph.mate.
+graphs, BFS distance matrices, the graph6 codec and the one isomorphism
+engine, a canonical labeling search whose form decides isomorphism and
+whose automorphism generators drive generation in specgraph.mate.
 
 Named families:
 
@@ -25,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
 
 MAX_VERTICES = 64
 
@@ -77,6 +73,16 @@ class Graph:
                                      f"({min(i, j)},{max(i, j)})")
 
     @classmethod
+    def _unchecked(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+        """A graph from rows that are valid by construction, without
+        __post_init__'s checks: for decoders and generators whose rows
+        are symmetric, loop-free and within n <= 64 vertices."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         rows = [0] * n
         for u, v in edges:
@@ -111,20 +117,21 @@ def _g6_header(n: int) -> bytes:
     return bytes([126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
 
 
+# a 6-bit group with its bit order reversed: graph6 puts the first edge bit
+# of a group in its high bit, the packed edge int below in its low bit
+_REV6 = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
+
+
 def to_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 line (no trailing newline)."""
-    bits = []
+    # bit k of edges is edge bit k: column j holds (i, j) for i < j
+    edges = 0
+    k = 0
     for j in range(1, g.n):
-        for i in range(j):
-            bits.append(g.rows[j] >> i & 1)
+        edges |= (g.rows[j] & (1 << j) - 1) << k
+        k += j
     out = bytearray(_g6_header(g.n))
-    for k in range(0, len(bits), 6):
-        group = bits[k:k + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = val << 1 | b
-        out.append(val + 63)
+    out += bytes(_REV6[edges >> s & 63] + 63 for s in range(0, k, 6))
     return out.decode("ascii")
 
 
@@ -134,9 +141,10 @@ def from_graph6(text: str) -> Graph:
     if not raw:
         raise Graph6Error("empty input", 0)
     data = raw.encode("ascii", errors="replace")
-    for off, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise Graph6Error(f"byte {byte!r} outside graph6 range 63..126", off)
+    if min(data) < 63 or max(data) > 126:
+        off, byte = next((off, byte) for off, byte in enumerate(data)
+                         if not 63 <= byte <= 126)
+        raise Graph6Error(f"byte {byte!r} outside graph6 range 63..126", off)
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
             raise Graph6Error("graphs beyond 258047 vertices unsupported", 1)
@@ -158,21 +166,24 @@ def from_graph6(text: str) -> Graph:
                           body_off + len(body))
     if len(body) > nbytes:
         raise Graph6Error("trailing bytes after edge bits", body_off + nbytes)
+    edges = 0
+    for byte in reversed(body):
+        edges = edges << 6 | _REV6[byte - 63]
+    # padding bits must be zero
+    if edges >> nbits:
+        raise Graph6Error("nonzero padding bits", body_off + nbytes - 1)
     rows = [0] * n
     k = 0
     for j in range(1, n):
-        for i in range(j):
-            byte = body[k // 6] - 63
-            if byte >> (5 - k % 6) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
-    # padding bits must be zero
-    if nbits % 6:
-        pad = body[-1] - 63 & (1 << (6 - nbits % 6)) - 1
-        if pad:
-            raise Graph6Error("nonzero padding bits", body_off + nbytes - 1)
-    return Graph(n, tuple(rows))
+        col = edges >> k & (1 << j) - 1
+        k += j
+        rows[j] = col
+        bit = 1 << j
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= bit
+            col ^= low
+    return Graph._unchecked(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -290,36 +301,32 @@ def is_connected(g: Graph) -> bool:
     return _bfs_reach(g.rows, 0) == (1 << g.n) - 1
 
 
-def distance_matrices(rows, n: int) -> np.ndarray:
-    """All-pairs distances of same-order connected graphs given as bit
-    rows, as an int64 (B, n, n) stack.
-
-    Step k turns the 0/1 reach sets within k - 1 edges into those within k
-    by one float32 product with A + I per graph (the products are counts
-    of at most n, so exact); d(u, w) counts the steps k >= 0 after which w
-    is still out of reach from u.  Raises DisconnectedError if some graph
-    is still unreached after n - 1 steps.
-    """
-    bits = np.array(rows, dtype=np.uint64).reshape(-1, n)
-    step = (bits[:, :, None] >> np.arange(n, dtype=np.uint64)
-            & np.uint64(1)).astype(np.float32)
-    diag = np.arange(n)
-    step[:, diag, diag] = 1
-    dist = np.broadcast_to(1 - np.eye(n, dtype=np.int64),
-                           step.shape).copy()
-    reach = step
-    for _ in range(n):
-        unreached = reach == 0
-        if not unreached.any():
-            return dist
-        dist += unreached
-        reach = np.minimum(reach @ step, 1)
-    raise DisconnectedError("distance matrix requires a connected graph")
-
-
 def distance_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """All-pairs distances as a tuple of int tuples."""
-    return tuple(map(tuple, distance_matrices([g.rows], g.n)[0].tolist()))
+    """All-pairs BFS distances as a tuple of int tuples.  One pass over
+    each frontier both records its vertices' level and gathers the next
+    frontier."""
+    n = g.n
+    rows = g.rows
+    dist = []
+    for s in range(n):
+        d = [0] * n
+        seen = frontier = 1 << s
+        level = 0
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                v = low.bit_length() - 1
+                d[v] = level
+                nxt |= rows[v]
+                frontier ^= low
+            level += 1
+            frontier = nxt & ~seen
+            seen |= frontier
+        if seen != (1 << n) - 1:
+            raise DisconnectedError("distance matrix requires a connected graph")
+        dist.append(tuple(d))
+    return tuple(dist)
 
 
 # ---------------------------------------------------------------------------

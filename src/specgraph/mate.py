@@ -27,14 +27,12 @@ classes.
 Cospectrality is decided exactly: the fingerprint is the coefficient
 vector of the distance characteristic polynomial, encoded degree-descending
 as length-prefixed two's-complement bytes.  Equal fingerprints therefore
-mean identical exact charpolys; no rounded float ever touches a classing
-decision.  Fingerprinting a chunk is one graphs.distance_matrices stack
-(0/1 reach products, exact in float32) and one exactpoly.charpoly_rows
-call on it: every matrix whose largest entry a rigorously computed
-magnitude bound admits goes through one int64 batch, and all the others
-through one batch modulo word-size primes lifted exactly by the Chinese
-remainder theorem, so a few large-diameter graphs do not slow down the
-rest of their chunk.
+mean identical exact charpolys; no float ever touches a classing decision.
+Fingerprinting is one exactpoly.charpoly_rows call per chunk: every matrix
+whose largest entry a rigorously computed magnitude bound admits goes
+through one int64 batch, and all the others through one batch modulo
+word-size primes lifted exactly by the Chinese remainder theorem, so a few
+large-diameter graphs do not slow down the rest of their chunk.
 
 Every class table runs one pipeline: a source of tasks, one worker that
 fingerprints a task's graphs a chunk at a time, and one merge in the
@@ -42,8 +40,8 @@ parent, which also gathers the tasks' input diagnostics.  The built-in
 source is level n-1 cut into slices of parents, each task generating its
 own connected children; the graph6 source is the file cut into chunks of
 numbered lines as it is read, each task parsing and checking its own
-lines, so the parent only reads and on a pool the workers start on the
-first chunks while the rest are still being read.
+lines through ingest_graph6, so the parent only reads and on a pool the
+workers start on the first chunks while the rest are still being read.
 
 A determined-by-spectrum verdict from a stream, unlike one from the
 built-in table, passes only if the stream holds exactly A001349(n)
@@ -69,7 +67,6 @@ from .graphs import (
     _refine,
     _search,
     canonical_form,
-    distance_matrices,
     distance_matrix,
     from_graph6,
     is_connected,
@@ -256,7 +253,7 @@ def _connected_children(parents):
     """The order-n graphs from (rows, generators) parents of order n-1."""
     for rows, gens in parents:
         for child, _ in _children(rows, gens, last=True):
-            yield Graph(len(child), child)
+            yield Graph._unchecked(len(child), child)
 
 
 def enumerate_connected(n: int):
@@ -271,10 +268,9 @@ def enumerate_connected(n: int):
 def _encode_coeffs(desc) -> bytes:
     out = bytearray()
     for c in desc:
-        c = int(c)
-        b = c.to_bytes(max(1, (c.bit_length() + 8) // 8), "big", signed=True)
-        out.append(len(b))
-        out.extend(b)
+        size = (c.bit_length() + 8) // 8
+        out.append(size)
+        out += c.to_bytes(size, "big", signed=True)
     return bytes(out)
 
 
@@ -296,7 +292,7 @@ def fingerprint_text(fp: bytes) -> str:
 
 
 def _fingerprints(dists) -> list[bytes]:
-    """Fingerprints of a nonempty stack of equal-size distance matrices, in
+    """Fingerprints of a nonempty list of equal-size distance matrices, in
     input order."""
     return [_encode_coeffs(row[::-1]) for row in charpoly_rows(dists)]
 
@@ -363,36 +359,34 @@ def _pool_size(jobs: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1))
 
 
-def _class_part(graphs, problems=()) -> tuple[int, dict, list]:
-    """A task's result: the graph count and fingerprint -> graph6 members
-    of an iterable of same-order graphs, fingerprinted _CHUNK at a time on
-    one stack of distance matrices, with the task's input diagnostics."""
+def _class_part(graphs) -> tuple[int, dict]:
+    """Graph count and fingerprint -> graph6 members of an iterable of
+    same-order graphs, fingerprinted _CHUNK at a time."""
     part: dict[bytes, list[str]] = {}
     count = 0
     graphs = iter(graphs)
     while chunk := list(islice(graphs, _CHUNK)):
-        dists = distance_matrices([g.rows for g in chunk], chunk[0].n)
-        for g, fp in zip(chunk, _fingerprints(dists)):
+        fps = _fingerprints([distance_matrix(g) for g in chunk])
+        for g, fp in zip(chunk, fps):
             part.setdefault(fp, []).append(to_graph6(g))
         count += len(chunk)
-    return count, part, list(problems)
+    return count, part
 
 
 def _children_part(parents) -> tuple[int, dict, list]:
     """The built-in task: the class part of a parent slice's connected
-    children."""
-    return _class_part(_connected_children(parents))
+    children, with no diagnostics."""
+    return (*_class_part(_connected_children(parents)), [])
 
 
-def _graph6_part(order: int, lines) -> tuple[int, dict, list]:
-    """The graph6 task: the class part of a chunk of (line number, text)
-    lines of a stream.
+def ingest_graph6(lines, order: int, problems: list):
+    """The connected graphs of order `order` in (line number, text) graph6
+    lines.
 
     Blank lines are skipped.  A malformed line, a disconnected graph (no
-    distance matrix) or a graph of another order than order is skipped
-    with a (line number, message) diagnostic.
+    distance matrix) or a graph of another order is skipped with a (line
+    number, message) diagnostic appended to problems.
     """
-    graphs, problems = [], []
     for lineno, line in lines:
         text = line.strip()
         if not text:
@@ -407,8 +401,14 @@ def _graph6_part(order: int, lines) -> tuple[int, dict, list]:
         elif g.n != order:
             problems.append((lineno, f"order {g.n}, expected {order}"))
         else:
-            graphs.append(g)
-    return _class_part(graphs, problems)
+            yield g
+
+
+def _graph6_part(order: int, lines) -> tuple[int, dict, list]:
+    """The graph6 task: the class part of a chunk of numbered lines of a
+    stream, with the diagnostics of the lines ingest_graph6 skipped."""
+    problems: list[tuple[int, str]] = []
+    return (*_class_part(ingest_graph6(lines, order, problems)), problems)
 
 
 def _classify(work, tasks, jobs: int) -> tuple[int, dict, list]:
@@ -438,35 +438,6 @@ def _classify(work, tasks, jobs: int) -> tuple[int, dict, list]:
     return total, acc, sorted(problems)
 
 
-def cospectral_classes(stream, jobs: int = 1) -> CospectralClasses:
-    """Group connected same-order graphs by exact distance charpoly.
-
-    The stream is cut into _CHUNK-graph tasks as it is read, checked to
-    share one order.
-    """
-    orders: list[int] = []
-
-    def chunks():
-        chunk = []
-        for g in stream:
-            if not orders:
-                orders.append(g.n)
-            elif g.n != orders[0]:
-                raise ValueError(
-                    f"mixed orders in stream: {g.n} after {orders[0]}")
-            chunk.append(g)
-            if len(chunk) == _CHUNK:
-                yield chunk
-                chunk = []
-        if not orders:
-            raise ValueError("empty graph stream")
-        if chunk:
-            yield chunk
-
-    total, acc, _ = _classify(_class_part, chunks(), jobs)
-    return _finish(orders[0], acc, total)
-
-
 def cospectral_classes_builtin(n: int, jobs: int = 1) -> CospectralClasses:
     """Classes over all connected graphs of order n from the built-in
     generator; level n-1 is split into parent slices, one task each.
@@ -486,7 +457,7 @@ def cospectral_classes_graph6(
 ) -> tuple[CospectralClasses, list[tuple[int, str]]]:
     """Classes over the connected graphs of order `order` in a file of
     graph6 lines, and the (line number, message) diagnostics of the lines
-    skipped (see _graph6_part), in line order.
+    skipped (see ingest_graph6), in line order.
 
     This process only reads the file, _CHUNK numbered lines per task; the
     tasks, on a pool the workers, parse their lines.  No graph of the

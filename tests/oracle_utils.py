@@ -2,7 +2,7 @@
 
 Independent brute-force oracles: all edge subsets, bucketed by a cheap
 invariant, deduplicated by a permutation backtracking isomorphism test;
-queue BFS distances.
+queue BFS distances; a bit-list graph6 encoder.
 They deliberately share no code with the canonical-augmentation generator
 they cross-check.  Also the paper's T(a,b) interval table, checked exactly
 on a characteristic polynomial.
@@ -34,7 +34,7 @@ def bf_connected(rows, n):
 def bf_distances(rows, n):
     """All-pairs distances as lists, by one queue BFS per source over
     neighbour lists; None if some vertex is unreachable.  Shares no code
-    with graphs.distance_matrices."""
+    with graphs.distance_matrix."""
     nbrs = [[w for w in range(n) if rows[v] >> w & 1] for v in range(n)]
     dist = []
     for s in range(n):
@@ -50,6 +50,22 @@ def bf_distances(rows, n):
             return None
         dist.append(d)
     return dist
+
+
+def bf_graph6(rows, n):
+    """The graph6 line of a graph, bit by bit as formats.txt lays it out:
+    the size header, then the upper triangle column by column, six bits to
+    a byte, most significant first, zero-padded.  Shares no code with
+    graphs.to_graph6."""
+    if n <= 62:
+        out = [n + 63]
+    else:
+        out = [126] + [(n >> shift & 63) + 63 for shift in (12, 6, 0)]
+    bits = [rows[i] >> j & 1 for j in range(1, n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    for k in range(0, len(bits), 6):
+        out.append(63 + sum(b << (5 - t) for t, b in enumerate(bits[k:k + 6])))
+    return bytes(out).decode("ascii")
 
 
 def bf_invariant(rows, n):

@@ -5,9 +5,9 @@ import random
 from functools import cache
 from itertools import combinations
 
-import numpy as np
 import pytest
-from oracle_utils import bf_class_reps, bf_distances, bf_isomorphic
+from oracle_utils import bf_class_reps, bf_distances, bf_graph6, \
+    bf_isomorphic
 
 from specgraph import mate
 from specgraph.graphs import (
@@ -16,7 +16,6 @@ from specgraph.graphs import (
     Graph6Error,
     GraphError,
     canonical_form,
-    distance_matrices,
     distance_matrix,
     from_graph6,
     is_connected,
@@ -191,50 +190,28 @@ class TestDistances:
                         assert d[i][k] <= d[i][j] + d[j][k]
 
 
-class TestDistanceMatrices:
-    """The batched reach-set distances against queue BFS."""
-
-    @staticmethod
-    def check(graphs):
-        got = distance_matrices([g.rows for g in graphs], graphs[0].n)
-        assert got.dtype == np.int64
-        assert got.shape == (len(graphs), graphs[0].n, graphs[0].n)
-        assert got.tolist() == [bf_distances(g.rows, g.n) for g in graphs]
+class TestDistancesAgainstOracle:
+    """distance_matrix against queue BFS."""
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_every_connected_graph_as_one_stack(self, n):
-        self.check(connected_graphs(n))
-
-    @pytest.mark.parametrize("n", [6, 7, 8])
-    def test_stacks_of_mixed_diameter(self, n):
-        graphs = list(connected_graphs(n))
-        random.Random(n).shuffle(graphs)
-        stacks = [graphs[i:i + 7] for i in range(0, len(graphs), 7)]
-        # the path, of the largest diameter, among complete-ish graphs
-        dense = sorted(graphs, key=Graph.edge_count)[-6:]
-        stacks.append(dense[:3] + [named_graph("P", n)] + dense[3:])
-        assert len({largest_distance(g) for g in stacks[-1]}) > 1
-        for stack in stacks:
-            self.check(stack)
+    def test_every_connected_graph(self, n):
+        for g in connected_graphs(n):
+            assert distance_matrix(g) == tuple(
+                map(tuple, bf_distances(g.rows, g.n)))
 
     @pytest.mark.parametrize("name", [("C", 27), ("P", 27), ("T", 12, 12),
                                       ("P", 64), ("K", 64), ("K", 1)])
     def test_single_large_graphs(self, name):
         g = named_graph(*name)
-        self.check([g])
         assert distance_matrix(g) == tuple(
             map(tuple, bf_distances(g.rows, g.n)))
 
-    def test_one_disconnected_member_raises(self):
-        graphs = connected_graphs(5)
-        broken = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
-        for at in (0, 10, len(graphs)):
+    def test_disconnected_graphs_raise(self):
+        for g in (Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]),
+                  Graph(2, (0, 0)), Graph.from_edges(64, [(0, 63)])):
+            assert bf_distances(g.rows, g.n) is None
             with pytest.raises(DisconnectedError):
-                distance_matrices(
-                    [g.rows for g in graphs[:at] + [broken] + graphs[at:]],
-                    5)
-        with pytest.raises(DisconnectedError):
-            distance_matrices([(0, 0)], 2)
+                distance_matrix(g)
 
 
 class TestConnectivity:
@@ -293,6 +270,31 @@ class TestGraph6:
         assert from_graph6(s) == g
         g64 = Graph.from_edges(64, [(i, i + 1) for i in range(63)])
         assert from_graph6(to_graph6(g64)) == g64
+
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 10, 11, 62, 63, 64])
+    def test_codec_against_bitwise_oracle(self, n):
+        rng = random.Random(n)
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        # every single edge, so every bit position, then random graphs
+        graphs = [Graph.from_edges(n, [e]) for e in pairs[:200]]
+        graphs += [random_graph(n, p, rng) for p in (0.1, 0.5, 0.9)
+                   for _ in range(5)]
+        for g in graphs:
+            line = bf_graph6(g.rows, n)
+            assert to_graph6(g) == line
+            assert from_graph6(line) == g
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 10, 64])
+    def test_every_nonzero_padding_rejected(self, n):
+        nbits = n * (n - 1) // 2
+        pad = -nbits % 6
+        line = bf_graph6(named_graph("K", n).rows, n)
+        for value in range(1, 1 << pad):
+            bad = line[:-1] + chr(63 + (ord(line[-1]) - 63 | value))
+            with pytest.raises(Graph6Error) as err:
+                from_graph6(bad)
+            assert err.value.offset == len(line) - 1
 
 
 class TestIsomorphism:

@@ -17,7 +17,6 @@ from specgraph.graphs import (
     to_graph6,
 )
 from specgraph.mate import (
-    cospectral_classes,
     cospectral_classes_builtin,
     cospectral_classes_graph6,
     decode_fingerprint,
@@ -84,6 +83,13 @@ class TestEnumeration:
             s = to_graph6(g)
             assert s not in seen
             seen.add(s)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 7])
+    def test_unchecked_graphs_pass_the_checks(self, n):
+        # the generator builds its graphs without Graph's checks
+        for g in enumerate_connected(n):
+            assert Graph(g.n, g.rows) == g
+            assert _bf_connected(g.rows, n)
 
     def test_pairwise_nonisomorphic_n5(self):
         graphs = list(enumerate_connected(5))
@@ -337,35 +343,53 @@ class TestInt64Guard:
             for g in graphs]
 
 
+def write_graph6(path, graphs):
+    path.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+    return path
+
+
+def stream_classes(tmp_path, graphs, order, jobs=1):
+    """The class table of the graphs through a graph6 file; the file's
+    lines must all be connected graphs of the order."""
+    classes, problems = cospectral_classes_graph6(
+        write_graph6(tmp_path / "stream.g6", graphs), order, jobs=jobs)
+    assert problems == []
+    return classes
+
+
 class TestClasses:
     def test_n5_sizes_sum(self):
-        cc = cospectral_classes(enumerate_connected(5))
+        cc = cospectral_classes_builtin(5)
         assert cc.order == 5
         assert cc.total == 21
         assert sum(len(m) for m in cc.classes.values()) == 21
 
-    def test_single_graph_stream(self):
-        cc = cospectral_classes(iter([named_graph("T", 1, 1)]))
+    def test_single_graph_stream(self, tmp_path):
+        cc = stream_classes(tmp_path, [named_graph("T", 1, 1)], 5)
         assert cc.total == 1
         assert len(cc.classes) == 1
 
-    def test_duplicate_stream_members_share_class(self):
+    def test_duplicate_stream_members_share_class(self, tmp_path):
         g = named_graph("T", 1, 1)
-        cc = cospectral_classes(iter([g, g]))
+        cc = stream_classes(tmp_path, [g, g], 5)
         assert len(cc.classes) == 1
         (members,) = cc.classes.values()
         assert len(members) == 2
 
-    def test_mixed_orders_rejected(self):
-        with pytest.raises(ValueError, match="mixed orders"):
-            cospectral_classes(iter([named_graph("P", 3),
-                                     named_graph("P", 4)]))
+    def test_mixed_orders_rejected(self, tmp_path):
+        path = write_graph6(tmp_path / "mixed.g6",
+                            [named_graph("P", 3), named_graph("P", 4)])
+        classes, problems = cospectral_classes_graph6(path, 3)
+        assert classes.total == 1
+        assert problems == [(2, "order 4, expected 3")]
 
-    def test_empty_stream_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            cospectral_classes(iter([]))
+    def test_empty_stream_rejected(self, tmp_path):
+        path = tmp_path / "empty.g6"
+        path.write_text("\n")
+        with pytest.raises(ValueError, match="no connected graph"):
+            cospectral_classes_graph6(path, 5)
 
-    def test_parallel_output_identical(self, fake_pools):
+    def test_parallel_output_identical(self, fake_pools, tmp_path):
         serial = cospectral_classes_builtin(6, jobs=1)
         parallel = cospectral_classes_builtin(6, jobs=2)
         a = json.dumps(serial.to_json_dict(), sort_keys=True)
@@ -374,7 +398,8 @@ class TestClasses:
         assert serial.to_csv() == parallel.to_csv()
         # built-in parent slices, serial and pooled, against the stream path
         streamed = {
-            n: cospectral_classes(enumerate_connected(n)).to_json_dict()
+            n: stream_classes(tmp_path, enumerate_connected(n),
+                              n).to_json_dict()
             for n in range(1, 7)}
         for n, doc in streamed.items():
             assert cospectral_classes_builtin(n, jobs=1).to_json_dict() == doc
@@ -383,22 +408,18 @@ class TestClasses:
             assert cospectral_classes_builtin(n, jobs=2).to_json_dict() == doc
         assert pools == [[2, None]] * 6
 
-    def test_chunked_stream_identical(self):
+    def test_chunked_stream_identical(self, tmp_path, monkeypatch):
         graphs = list(enumerate_connected(6))
-        one = cospectral_classes(iter(graphs), jobs=1)
-        old_chunk = mate._CHUNK
-        try:
-            mate._CHUNK = 7
-            many = cospectral_classes(iter(graphs), jobs=2)
-        finally:
-            mate._CHUNK = old_chunk
+        one = stream_classes(tmp_path, graphs, 6, jobs=1)
+        monkeypatch.setattr(mate, "_CHUNK", 7)
+        many = stream_classes(tmp_path, graphs, 6, jobs=2)
         assert one.to_json_dict() == many.to_json_dict()
 
     def test_first_cospectral_mates_at_order_7(self):
         # no mates through order 6; eleven genuinely cospectral pairs at 7
         assert all(len(m) == 1 for m in
-                   cospectral_classes(enumerate_connected(6)).classes.values())
-        cc = cospectral_classes(enumerate_connected(7))
+                   cospectral_classes_builtin(6).classes.values())
+        cc = cospectral_classes_builtin(7)
         multi = {fp: m for fp, m in cc.classes.items() if len(m) > 1}
         assert len(multi) == 11
         for fp, members in multi.items():
@@ -411,41 +432,40 @@ class TestClasses:
             for g, h in combinations(graphs, 2):
                 assert not _bf_isomorphic(g.rows, h.rows, 7)
 
-    def test_jobs_clamped_to_cpu_count(self, fake_pools, monkeypatch):
+    def test_jobs_clamped_to_cpu_count(self, fake_pools, monkeypatch,
+                                       tmp_path):
         pools = fake_pools(3)
         serial = cospectral_classes_builtin(5, jobs=1).to_json_dict()
         assert cospectral_classes_builtin(5, jobs=10 ** 6).to_json_dict() \
             == serial
         monkeypatch.setattr(mate, "_CHUNK", 4)
-        assert cospectral_classes(enumerate_connected(5),
-                                  jobs=10 ** 6).to_json_dict() == serial
+        assert stream_classes(tmp_path, enumerate_connected(5), 5,
+                              jobs=10 ** 6).to_json_dict() == serial
         assert pools == [[3, None], [3, None]]
         fake_pools(None)
         cospectral_classes_builtin(5, jobs=10 ** 6)
-        cospectral_classes(enumerate_connected(5), jobs=10 ** 6)
+        stream_classes(tmp_path, enumerate_connected(5), 5, jobs=10 ** 6)
         assert len(pools) == 2
 
-    def test_pool_closed_when_stream_is_rejected(self, fake_pools):
+    def test_pool_closed_when_stream_is_rejected(self, fake_pools, tmp_path):
         pools = fake_pools(2)
-        with pytest.raises(ValueError, match="empty graph stream"):
-            cospectral_classes(iter([]), jobs=2)
-        with pytest.raises(ValueError, match="mixed orders"):
-            cospectral_classes(iter([named_graph("P", 3),
-                                     named_graph("P", 4)]), jobs=2)
-        assert pools == [[2, ValueError], [2, ValueError]]
+        with pytest.raises(FileNotFoundError):
+            cospectral_classes_graph6(tmp_path / "missing.g6", 5, jobs=2)
+        with pytest.raises(IsADirectoryError):
+            cospectral_classes_graph6(tmp_path, 5, jobs=2)
+        assert pools == [[2, FileNotFoundError], [2, IsADirectoryError]]
 
-    def test_feed_errors_reach_caller_through_real_pool(self, real_pool):
-        graphs = list(enumerate_connected(5))[:6] + [named_graph("P", 4)]
-        with pytest.raises(ValueError, match="mixed orders") as exc:
-            cospectral_classes(iter(graphs), jobs=2)
-        # raised by the pool's feeder thread, delivered as a task result
-        assert exc.traceback[-1].path.name == "pool.py"
-        with pytest.raises(ValueError, match="empty graph stream") as exc:
-            cospectral_classes(iter([]), jobs=2)
-        assert exc.traceback[-1].path.name == "pool.py"
+    def test_feed_errors_reach_caller_through_real_pool(self, real_pool,
+                                                        tmp_path):
+        for path, error in ((tmp_path / "missing.g6", FileNotFoundError),
+                            (tmp_path, IsADirectoryError)):
+            with pytest.raises(error) as exc:
+                cospectral_classes_graph6(path, 5, jobs=2)
+            # raised by the pool's feeder thread, delivered as a task result
+            assert exc.traceback[-1].path.name == "pool.py"
 
     def test_json_shape(self):
-        doc = cospectral_classes(enumerate_connected(4)).to_json_dict()
+        doc = cospectral_classes_builtin(4).to_json_dict()
         assert doc["schema"] == 1
         assert doc["order"] == 4
         assert doc["total_graphs"] == 6
@@ -454,7 +474,7 @@ class TestClasses:
             assert cls["members"] == sorted(cls["members"])
 
     def test_csv_shape(self):
-        text = cospectral_classes(enumerate_connected(4)).to_csv()
+        text = cospectral_classes_builtin(4).to_csv()
         lines = text.strip().split("\n")
         assert lines[0] == "fingerprint,size"
         assert len(lines) == 1 + 6  # n=4: all classes singletons
@@ -511,6 +531,17 @@ class TestIngest:
         with pytest.raises(ValueError, match="order 5"):
             read_graph6(path, 5)
 
+    def test_ingest_yields_graphs_and_records_problems(self):
+        p4, c4 = named_graph("P", 4), named_graph("C", 4)
+        lines = [(3, to_graph6(p4) + "\n"), (4, "  \n"), (5, "???bad"),
+                 (6, to_graph6(Graph.from_edges(4, [(0, 1), (2, 3)]))),
+                 (7, to_graph6(named_graph("P", 3))), (9, to_graph6(c4))]
+        problems = []
+        assert list(mate.ingest_graph6(lines, 4, problems)) == [p4, c4]
+        assert [ln for ln, _ in problems] == [5, 6, 7]
+        assert problems[1:] == [(6, "disconnected graph"),
+                                (7, "order 3, expected 4")]
+
     def test_members_are_reencoded(self, tmp_path):
         # a 4-byte size header is valid graph6 below order 63 too, but the
         # member is the short-header encoding
@@ -543,9 +574,9 @@ class TestDsVerdict:
         with pytest.raises(ValueError, match="order"):
             ds_verdict(2, 2, classes=classes)
 
-    def test_failure_path_reports_mates(self):
+    def test_failure_path_reports_mates(self, tmp_path):
         g = named_graph("T", 1, 1)
-        fake = cospectral_classes(iter([g, g]))
+        fake = stream_classes(tmp_path, [g, g], 5)
         r = ds_verdict(1, 1, classes=fake)
         assert not r.ok
         assert r.details["witnesses"][0]["class_size"] == 2
