@@ -2,9 +2,9 @@
 
 Exit codes: 0 all checks pass, 1 a verification failed (report carries the
 witness), 2 usage or input error.  Reports are JSON by default (schema 1),
-with --format csv/text alternatives, deterministic output modulo the
-timestamp field (drop it with --no-timestamp), and SPECGRAPH_JOBS as the
-default parallelism.
+with --format text and, except for spectrum, csv alternatives,
+deterministic output modulo the timestamp field (drop it with
+--no-timestamp), and SPECGRAPH_JOBS as the default parallelism.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from datetime import datetime, timezone
 
 from . import mate, verify
 from .exactpoly import charpoly_exact
-from .graphs import Graph6Error, GraphError, distance_matrix, from_graph6, \
-    named_graph
+from .graphs import DisconnectedError, Graph6Error, GraphError, \
+    distance_matrix, from_graph6, named_graph
 from .spectra import eigenvalues_sym
 
 class UsageError(Exception):
@@ -77,7 +77,10 @@ def _json_text(doc: dict) -> str:
 
 def cmd_spectrum(args) -> int:
     g = parse_graph_spec(args.graph)
-    d = distance_matrix(g)
+    try:
+        d = distance_matrix(g)
+    except DisconnectedError as exc:
+        raise UsageError(f"{args.graph!r}: {exc}") from exc
     s = eigenvalues_sym(d)
     poly = charpoly_exact(d)
     doc = {
@@ -115,29 +118,22 @@ def _run_named_verifier(lemma: str, args):
         raise UsageError(f"{lemma}: {exc}") from exc
 
 
-def cmd_verify(args) -> int:
-    lemma = args.lemma
-    known = set(verify.VERIFIER_IDS)
-    if lemma == "all":
-        results = [_run_named_verifier(l, args) for l in verify.VERIFIER_IDS]
-        doc = {
+def _emit_results(args, results, aggregate: str | None) -> int:
+    """Write verifier results in args.format and return the exit code.
+
+    JSON is the aggregate document named aggregate, or the one result's
+    own document when aggregate is None; CSV is one `lemma,status` row per
+    result; text is one `lemma: status` line per result, with the witness
+    count of each that did not pass.
+    """
+    ok = all(r.ok for r in results)
+    if args.format == "json":
+        doc = results[0].to_json_dict() if aggregate is None else {
             "schema": 1,
-            "lemma": "all",
-            "status": "pass" if all(r.ok for r in results) else "fail",
+            "lemma": aggregate,
+            "status": "pass" if ok else "fail",
             "results": [r.to_json_dict() for r in results],
         }
-        ok = all(r.ok for r in results)
-    elif lemma in known:
-        result = _run_named_verifier(lemma, args)
-        doc = result.to_json_dict()
-        results = [result]
-        ok = result.ok
-    else:
-        raise UsageError(
-            f"unknown lemma id {lemma!r}; expected one of: all, "
-            + ", ".join(verify.VERIFIER_IDS))
-
-    if args.format == "json":
         _emit(args, _json_text(_stamp(doc, args)))
     elif args.format == "csv":
         lines = ["lemma,status"] + [f"{r.lemma},{r.status}" for r in results]
@@ -149,6 +145,19 @@ def cmd_verify(args) -> int:
                if not r.ok else "")
             for r in results))
     return 0 if ok else 1
+
+
+def cmd_verify(args) -> int:
+    lemma = args.lemma
+    if lemma == "all":
+        return _emit_results(
+            args, [_run_named_verifier(l, args) for l in verify.VERIFIER_IDS],
+            "all")
+    if lemma in verify.VERIFIER_IDS:
+        return _emit_results(args, [_run_named_verifier(lemma, args)], None)
+    raise UsageError(
+        f"unknown lemma id {lemma!r}; expected one of: all, "
+        + ", ".join(verify.VERIFIER_IDS))
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +197,8 @@ def cmd_mate_search(args) -> int:
 
     verdict = None
     if a is not None:
-        check = mate.stream_ds_verdict if args.input else mate.ds_verdict
         try:
-            verdict = check(a, b, classes=classes)
+            verdict = mate.ds_verdict(a, b, classes=classes)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
 
@@ -207,11 +215,7 @@ def cmd_mate_search(args) -> int:
     elif args.format == "csv":
         _emit(args, classes.to_csv())
     else:
-        # built-in members are pairwise non-isomorphic; a stream may repeat
-        # one graph, and its copies are no mates
-        sizes = (classes.distinct_sizes() if args.input
-                 else map(len, classes.classes.values()))
-        multi = sum(k > 1 for k in sizes)
+        multi = sum(k > 1 for k in classes.distinct_sizes())
         lines = [f"order {classes.order}: {classes.total} graphs, "
                  f"{len(classes.classes)} charpoly classes",
                  f"classes with cospectral mates: {multi}"]
@@ -245,20 +249,7 @@ def _report_results(args) -> list:
 
 
 def cmd_report(args) -> int:
-    results = _report_results(args)
-    ok = all(r.ok for r in results)
-    if args.format == "csv":
-        lines = ["lemma,status"] + [f"{r.lemma},{r.status}" for r in results]
-        _emit(args, "\n".join(lines))
-    else:
-        doc = {
-            "schema": 1,
-            "lemma": "report",
-            "status": "pass" if ok else "fail",
-            "results": [r.to_json_dict() for r in results],
-        }
-        _emit(args, _json_text(_stamp(doc, args)))
-    return 0 if ok else 1
+    return _emit_results(args, _report_results(args), "report")
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "double stars")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv", "text"),
-                       default="json")
+    def common(p, formats=("json", "csv", "text")):
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", help="write the report here instead of "
                                      "stdout")
         p.add_argument("--no-timestamp", action="store_true",
@@ -285,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "raw graph6")
     p.add_argument("--matrix", action="store_true",
                    help="include the distance matrix")
-    common(p)
+    common(p, ("json", "text"))
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="run one verifier (or all)")

@@ -111,13 +111,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def to_mpoly(self) -> "MPoly":
-        terms = {}
-        for i, c in enumerate(self.coeffs):
-            if c:
-                terms[(i, 0, 0, 0, 0)] = c
-        return MPoly(terms)
-
     def text(self) -> str:
         return _join_terms((_l_power(i), c) for i, c
                            in reversed(tuple(enumerate(self.coeffs))) if c)
@@ -271,10 +264,6 @@ class MPoly:
                     used.add(VARS[i])
         return used
 
-    def degree_in(self, name: str) -> int:
-        i = _VAR_INDEX[name]
-        return max((e[i] for e in self.terms), default=0)
-
     def coeff_of(self, name: str, power: int) -> "MPoly":
         """Coefficient of name**power, as a polynomial in the other
         variables."""
@@ -308,31 +297,6 @@ class MPoly:
             acc = acc * value + by_power.get(k, MPoly())
         return acc
 
-    def eval_at(self, assignment: dict):
-        """Evaluate at a (possibly partial) assignment.
-
-        Values may be ints or Fractions.  A full assignment returns a
-        Fraction (or int); a partial one returns the specialized MPoly,
-        which then requires all supplied values to be integers.
-        """
-        remaining = self.variables() - set(assignment)
-        if remaining:
-            out = self
-            for name, value in assignment.items():
-                if not isinstance(value, int):
-                    raise TypeError(
-                        "partial evaluation supports integer values only")
-                out = out.substitute(name, value)
-            return out
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            term = Fraction(c)
-            for i, e in enumerate(exp):
-                if e:
-                    term *= Fraction(assignment[VARS[i]]) ** e
-            total += term
-        return total
-
     def divexact(self, den: "MPoly") -> "MPoly":
         """Exact polynomial division; raises ExactDivisionError on any
         remainder."""
@@ -360,14 +324,6 @@ class MPoly:
                 else:
                     rem.pop(e, None)
         return MPoly(quot)
-
-    def to_intpoly(self) -> IntPoly:
-        if self.variables() - {"L"}:
-            raise ValueError("polynomial still has parameters")
-        out = [0] * (self.degree_in("L") + 1)
-        for exp, c in self.terms.items():
-            out[exp[0]] = c
-        return IntPoly(out)
 
     def text(self) -> str:
         return _render_terms(list(self.terms.items()))

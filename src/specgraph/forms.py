@@ -30,20 +30,17 @@ LAMBDA4_LOW, LAMBDA4_HIGH = -1.7304, -1.5774
 LAMBDA_N_HIGH = -5.2361
 
 
-def _build_pab(a, b):
-    """16+8a+8b + (40+36a+36b+8ab)L + (28+44a+44b+24ab)L^2
-    + (2+18a+18b+12ab)L^3 + (-4+2a+2b)L^4 - L^5, with a, b int or MPoly."""
-    lam = MPoly.var("L")
+def _build_pab(a, b) -> tuple:
+    """Coefficients of L^0..L^5 of 16+8a+8b + (40+36a+36b+8ab)L
+    + (28+44a+44b+24ab)L^2 + (2+18a+18b+12ab)L^3 + (-4+2a+2b)L^4 - L^5,
+    with a, b int or MPoly."""
     ab = a * b
-    p = (16 + 8 * a + 8 * b) \
-        + (40 + 36 * a + 36 * b + 8 * ab) * lam \
-        + (28 + 44 * a + 44 * b + 24 * ab) * lam ** 2 \
-        + (2 + 18 * a + 18 * b + 12 * ab) * lam ** 3 \
-        + (-4 + 2 * a + 2 * b) * lam ** 4 \
-        - lam ** 5
-    if isinstance(p, MPoly):
-        return p
-    return MPoly.const(p)
+    return (16 + 8 * a + 8 * b,
+            40 + 36 * a + 36 * b + 8 * ab,
+            28 + 44 * a + 44 * b + 24 * ab,
+            2 + 18 * a + 18 * b + 12 * ab,
+            -4 + 2 * a + 2 * b,
+            -1)
 
 
 def p_ab(a: int, b: int) -> IntPoly:
@@ -51,13 +48,14 @@ def p_ab(a: int, b: int) -> IntPoly:
     polynomial."""
     if a < 0 or b < 0:
         raise ValueError("star sizes must be nonnegative")
-    return _build_pab(MPoly.const(a), MPoly.const(b)).to_intpoly()
+    return IntPoly(_build_pab(a, b))
 
 
 def p_cc_sym() -> MPoly:
     """p_{c,c} with the common star size c left symbolic."""
-    c = MPoly.var("c")
-    return _build_pab(c, c)
+    c, lam = MPoly.var("c"), MPoly.var("L")
+    return sum((k * lam ** i for i, k in enumerate(_build_pab(c, c))),
+               MPoly())
 
 
 def tab_charpoly_closed(a: int, b: int) -> tuple[int, IntPoly]:

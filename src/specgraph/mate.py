@@ -43,9 +43,12 @@ numbered lines as it is read, each task parsing and checking its own
 lines through ingest_graph6, so the parent only reads and on a pool the
 workers start on the first chunks while the rest are still being read.
 
-A determined-by-spectrum verdict from a stream, unlike one from the
-built-in table, passes only if the stream holds exactly A001349(n)
-graphs with pairwise distinct canonical forms; else it is inconclusive.
+A determined-by-spectrum verdict passes or fails only if its class table
+holds exactly A001349(n) pairwise non-isomorphic graphs; else it is
+inconclusive.  The rule is the same for every table; what differs is how
+the members are known to be distinct: a built-in table is generated, so
+they are by construction, while a graph6 stream's are counted by
+canonical forms.
 """
 
 from __future__ import annotations
@@ -311,6 +314,8 @@ class CospectralClasses:
     order: int
     classes: dict[bytes, tuple[str, ...]]
     total: int
+    # members built by canonical augmentation, so pairwise non-isomorphic
+    generated: bool
 
     def _by_charpoly(self) -> list[tuple[str, bytes, tuple[str, ...]]]:
         """(charpoly text, fingerprint, members) per class, ordered by the
@@ -321,9 +326,12 @@ class CospectralClasses:
         return rows
 
     def distinct_sizes(self) -> list[int]:
-        """The number of pairwise non-isomorphic members of each class.
-        Isomorphic graphs are cospectral, so only classes of two or more
-        members need canonical forms."""
+        """The number of pairwise non-isomorphic members of each class:
+        the member count in a generated table.  Elsewhere isomorphic
+        graphs are cospectral, so only classes of two or more members need
+        canonical forms."""
+        if self.generated:
+            return [len(members) for members in self.classes.values()]
         return [len({canonical_form(from_graph6(g6)) for g6 in members})
                 if len(members) > 1 else 1
                 for members in self.classes.values()]
@@ -348,10 +356,11 @@ class CospectralClasses:
         return "\n".join(lines) + "\n"
 
 
-def _finish(order: int, acc: dict, total: int) -> CospectralClasses:
+def _finish(order: int, acc: dict, total: int,
+            generated: bool) -> CospectralClasses:
     classes = {fp: tuple(sorted(members))
                for fp, members in sorted(acc.items())}
-    return CospectralClasses(order, classes, total)
+    return CospectralClasses(order, classes, total, generated)
 
 
 def _pool_size(jobs: int) -> int:
@@ -449,7 +458,7 @@ def cospectral_classes_builtin(n: int, jobs: int = 1) -> CospectralClasses:
     tasks = [parents[i:i + step] for i in range(0, len(parents), step)]
     total, acc, _ = _classify(_children_part, tasks, jobs)
     _check_count("class table", n, total)
-    return _finish(n, acc, total)
+    return _finish(n, acc, total, True)
 
 
 def cospectral_classes_graph6(
@@ -473,7 +482,7 @@ def cospectral_classes_graph6(
                                      jobs)
     if not total:
         raise ValueError(f"no connected graph of order {order} in {path}")
-    return _finish(order, acc, total), problems
+    return _finish(order, acc, total, False), problems
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +500,13 @@ def ds_verdict(a: int, b: int,
                classes: CospectralClasses) -> VerificationResult:
     """Exhaustive check that no non-isomorphic connected graph of order
     a+b+3 shares T(a,b)'s exact distance charpoly, against the class
-    table of that order."""
+    table of that order.
+
+    The table covers every connected graph of order n only if it holds
+    exactly A001349(n), known for n <= 10, pairwise non-isomorphic graphs.
+    Any other table gives an inconclusive verdict that carries the
+    expected and the distinct counts.
+    """
     n = tab_order(a, b)
     if classes.order != n:
         raise ValueError(
@@ -516,25 +531,11 @@ def ds_verdict(a: int, b: int,
         "charpoly": fingerprint_text(fp),
         "witnesses": witnesses,
     }
-    return VerificationResult(f"ds:T({a},{b})",
-                              "fail" if witnesses else "pass", details)
-
-
-def stream_ds_verdict(a: int, b: int,
-                      classes: CospectralClasses) -> VerificationResult:
-    """ds_verdict against a class table read from a graph6 stream.
-
-    A stream covers every connected graph of order n only if it holds
-    exactly A001349(n), known for n <= 10, pairwise non-isomorphic ones.
-    Any other stream gives an inconclusive verdict that carries the
-    expected and the distinct counts.
-    """
-    verdict = ds_verdict(a, b, classes)
-    n = classes.order
     expected = CONNECTED_COUNTS[n] if n < len(CONNECTED_COUNTS) else None
     distinct = sum(classes.distinct_sizes())
     if classes.total == distinct == expected:
-        return verdict
-    details = dict(verdict.details, expected_graphs=expected,
-                   distinct_graphs=distinct)
-    return VerificationResult(verdict.lemma, "inconclusive", details)
+        status = "fail" if witnesses else "pass"
+    else:
+        status = "inconclusive"
+        details.update(expected_graphs=expected, distinct_graphs=distinct)
+    return VerificationResult(f"ds:T({a},{b})", status, details)

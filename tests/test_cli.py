@@ -90,6 +90,19 @@ class TestSpectrum:
         assert code == 2
         assert "error" in err
 
+    def test_disconnected_graph_exit_2(self, capsys):
+        # B? is two isolated vertices: no distance matrix
+        code, out, err = run_cli(capsys, "spectrum", "B?")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 'B?': ")
+        assert "connected" in err and "Traceback" not in err
+
+    def test_csv_format_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "T:1,1", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_lemma22_exit_0(self, capsys):
@@ -561,6 +574,18 @@ class TestReport:
         assert lines[0] == "lemma,status"
         assert any(line.startswith("lemma22,") for line in lines)
         assert any(line.startswith("ds:T(1,1),") for line in lines)
+
+    def test_text_one_line_per_result(self, capsys):
+        argv = ("report", "--max-ab", "2", "--max-n", "8", "--max-c", "2")
+        code, out, _ = run_cli(capsys, *argv, "--format", "text")
+        assert code == 1
+        _, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
+        statuses = [row.rsplit(",", 1) for row in csv_out.splitlines()[1:]]
+        assert out.splitlines() == [
+            f"{lemma}: {status}"
+            + (" (1 witnesses)" if lemma == "case:F2" else "")
+            for lemma, status in statuses]
+        assert "ds:T(2,3): pass" in out
 
     def test_report_json_roundtrip(self, capsys):
         code, out, _ = run_cli(capsys, "report", "--max-ab", "2",

@@ -100,31 +100,11 @@ class TestMPoly:
         p = lam ** 2
         assert p.substitute("L", lam + 1) == lam ** 2 + 2 * lam + 1
 
-    def test_eval_full(self):
-        a = MPoly.var("a'")
-        lam = MPoly.var("L")
-        p = 2 * a * lam + 3
-        assert p.eval_at({"a'": 2, "L": Fraction(1, 2)}) == Fraction(5)
-        assert MPoly().eval_at({}) == 0
-
-    def test_eval_partial(self):
-        a, b = MPoly.var("a'"), MPoly.var("b'")
-        lam = MPoly.var("L")
-        p = a * lam + b
-        assert p.eval_at({"L": 0}) == b
-        assert p.eval_at({"L": 2}) == 2 * a + b
-
     def test_text_order(self):
         a, b = MPoly.var("a'"), MPoly.var("b'")
         lam = MPoly.var("L")
         p = lam ** 2 - 4 * a * b + 28 * a * b * MPoly.var("c'")
         assert p.text() == "L^2 + 28*a'*b'*c' - 4*a'*b'"
-
-    def test_to_intpoly(self):
-        lam = MPoly.var("L")
-        assert (lam ** 2 - 1).to_intpoly() == IntPoly([-1, 0, 1])
-        with pytest.raises(ValueError):
-            (lam + MPoly.var("a'")).to_intpoly()
 
 
 class TestCharpoly:
@@ -159,7 +139,9 @@ class TestCharpoly:
             M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             sym = [[MPoly.const(M[i][j]) - (lam if i == j else 0)
                     for j in range(n)] for i in range(n)]
-            assert cofactor_det(sym) == charpoly_exact(M).to_mpoly()
+            coeffs = charpoly_exact(M).coeffs
+            assert cofactor_det(sym).terms == {
+                (i, 0, 0, 0, 0): c for i, c in enumerate(coeffs) if c}
 
     def test_1x1(self):
         assert charpoly_exact([[5]]) == IntPoly([5, -1])

@@ -265,7 +265,7 @@ class TestAppendixTables:
 
     def test_q1_partial_evaluation_at_zero(self):
         ap, bp = MPoly.var("a'"), MPoly.var("b'")
-        assert appendix_q(1).eval_at({"L": 0}) == 8 + 6 * ap + 6 * bp
+        assert appendix_q(1).coeff_of("L", 0) == 8 + 6 * ap + 6 * bp
 
     def test_p1_at_minus_two(self):
         spec = appendix_p(1).substitute("L", -2)

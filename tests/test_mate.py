@@ -1,5 +1,6 @@
 """Enumeration, fingerprints, cospectral classes, determined-by-spectrum."""
 
+import dataclasses
 import json
 import random
 from itertools import combinations, islice, permutations
@@ -584,3 +585,44 @@ class TestDsVerdict:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             ds_verdict(0, 1, cospectral_classes_builtin(4))
+
+    @pytest.mark.parametrize("pool", ["serial", "real_pool"])
+    def test_builtin_and_stream_tables_agree(self, tmp_path, request, pool):
+        # one rule for both sources: the same graphs give the same verdicts
+        jobs = 1
+        if pool == "real_pool":
+            request.getfixturevalue("real_pool")
+            jobs = 2
+        for n in range(5, 8):
+            builtin = cospectral_classes_builtin(n)
+            stream = stream_classes(tmp_path, enumerate_connected(n), n,
+                                    jobs=jobs)
+            assert (builtin.generated, stream.generated) == (True, False)
+            for a in range(1, n - 3):
+                b = n - 3 - a
+                want = ds_verdict(a, b, builtin).to_json_dict()
+                assert want["status"] == "pass"
+                assert ds_verdict(a, b, stream).to_json_dict() == want
+
+    def test_builtin_table_with_a_wrong_total_is_inconclusive(self):
+        classes = dataclasses.replace(cospectral_classes_builtin(5),
+                                      total=20)
+        r = ds_verdict(1, 1, classes)
+        assert r.status == "inconclusive"
+        assert (r.details["expected_graphs"],
+                r.details["distinct_graphs"]) == (21, 21)
+
+    def test_generated_members_need_no_canonical_forms(self, monkeypatch,
+                                                       tmp_path):
+        def no_canonical_form(g):
+            raise AssertionError("canonical form of a generated member")
+
+        builtin = cospectral_classes_builtin(7)
+        monkeypatch.setattr(mate, "canonical_form", no_canonical_form)
+        assert builtin.distinct_sizes() == [
+            len(m) for m in builtin.classes.values()]
+        assert max(builtin.distinct_sizes()) == 2
+        # a stream's members are counted distinct by canonical forms
+        g = named_graph("T", 1, 1)
+        with pytest.raises(AssertionError, match="canonical form"):
+            stream_classes(tmp_path, [g, g], 5).distinct_sizes()
