@@ -2,9 +2,9 @@
 
 Exit codes: 0 all checks pass, 1 a verification failed (report carries the
 witness), 2 usage or input error.  Reports are JSON by default (schema 1),
-with --format text and, except for spectrum, csv alternatives,
+with --format text and (not for spectrum or mate-search --tab) csv,
 deterministic output modulo the timestamp field (drop it with
---no-timestamp), and SPECGRAPH_JOBS as the default parallelism.
+--no-timestamp), and SPECGRAPH_JOBS as the default --jobs.
 """
 
 from __future__ import annotations
@@ -47,11 +47,12 @@ def parse_graph_spec(text: str):
         ) from exc
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("SPECGRAPH_JOBS", "1")))
-    except ValueError:
-        return 1
+def _jobs(text: str) -> int:
+    """--jobs, or SPECGRAPH_JOBS as its default: an integer >= 1."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} (--jobs or SPECGRAPH_JOBS) is not an integer >= 1")
+    return int(text)
 
 
 def _emit(args, text: str):
@@ -165,6 +166,8 @@ def cmd_verify(args) -> int:
 
 def cmd_mate_search(args) -> int:
     jobs = args.jobs
+    if args.tab and args.format == "csv":
+        raise UsageError("--format csv would drop the --tab verdict")
     if args.tab:
         try:
             a, b = (int(x) for x in args.tab.split(","))
@@ -261,6 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Distance-spectra verification toolkit for extended "
                     "double stars")
     sub = parser.add_subparsers(dest="command", required=True)
+    jobs = os.environ.get("SPECGRAPH_JOBS", "1")
 
     def common(p, formats=("json", "csv", "text")):
         p.add_argument("--format", choices=formats, default="json")
@@ -295,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "determined by its spectrum")
     p.add_argument("--input", help="newline-separated graph6 file replacing "
                                    "the built-in generator")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=_jobs, default=jobs)
     common(p)
     p.set_defaults(func=cmd_mate_search)
 
@@ -306,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-c", type=int, default=100, dest="max_c")
     p.add_argument("--deep", action="store_true",
                    help="extend the mate search to order 9")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=_jobs, default=jobs)
     common(p)
     p.set_defaults(func=cmd_report)
     return parser

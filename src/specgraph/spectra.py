@@ -1,12 +1,10 @@
 """Symmetric eigenvalues as a descending spectrum.
 
 Eigenvalues come from LAPACK's symmetric eigensolver through
-numpy.linalg.eigvalsh and are returned descending.  They are reported, and
-decide only the checks with no integer polynomial behind them: the closed
-cycle spectra and the interlacing comparisons.  verify places every other
-eigenvalue, against a bound or a 4-decimal reference at PAPER_TOL, by exact
-root counts on a characteristic polynomial.  The last digits of an
-eigenvalue may differ between numpy/BLAS builds.
+numpy.linalg.eigvalsh and are returned descending.  They are only
+reported: verify decides every verdict by exact root counts on a
+characteristic polynomial.  The last digits of an eigenvalue may differ
+between numpy/BLAS builds.
 """
 
 from __future__ import annotations

@@ -8,19 +8,18 @@ reference providers are injectable keyword arguments so the test suite can
 prove that single-coefficient faults in any transcription are detected
 with a localized witness.
 
-Every root placement with an integer polynomial behind it is exact: root
-counts on that polynomial (exactpoly.root_counts) decide every case-table
-verdict, every pinned eigenvalue fact, the f/g root intervals and the
-4-decimal reference values, which are read as their decimal text with
-PAPER_TOL of slack.  Floats are reported, and decide only the two checks
-with no integer polynomial of their own: the closed cycle spectra (trig
-forms) and the interlacing comparisons with T(c,c).
+Every verdict is exact: root counts on an integer charpoly
+(exactpoly.root_counts) place every eigenvalue against a bound, a closed
+cycle value or a 4-decimal reference, the last read as its decimal text
+with PAPER_TOL of slack.  Floats from eigenvalues_sym are only reported,
+in case-table rows and in witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 
 from . import forms
 from .exactpoly import (
@@ -29,10 +28,11 @@ from .exactpoly import (
     MPoly,
     bareiss_det,
     charpoly_exact,
+    charpoly_rows,
     root_counts,
 )
 from .graphs import distance_matrix, named_graph
-from .spectra import PAPER_TOL, Spectrum, eigenvalues_sym
+from .spectra import PAPER_TOL, eigenvalues_sym
 
 # T(a,b)'s interval table (forms): the lower bounds it inherits from
 # T(1,1), and the upper bounds every principal submatrix of its distance
@@ -90,6 +90,7 @@ def _decimal(t) -> Fraction:
 
 
 _TOL = _decimal(PAPER_TOL)
+_WINDOW = Fraction(1, 10 ** 9)  # half-width around closed cycle values
 
 
 def _versus(p: IntPoly, k: int, t) -> int:
@@ -136,32 +137,44 @@ def verify_lemma22(max_ab: int = 8, closed_form=None) -> VerificationResult:
 # ---------------------------------------------------------------------------
 # interlacing bounds
 
+def _principal(big, small, at) -> bool:
+    """small is big's principal submatrix on the rows and columns at."""
+    return all(big[i][j] == x for i, row in zip(at, small)
+               for j, x in zip(at, row))
+
+
 def verify_interlacing_bounds(max_ab: int = 8) -> VerificationResult:
-    """The five bounds inherited from T(1,1) below and the three bounds
-    inherited from T(c,c) above, for all 1 <= a,b <= max_ab."""
+    """The five bounds inherited from T(1,1) below and the three from
+    T(c,c), c = max(a,b), above, for all 1 <= a,b <= max_ab.  Cauchy:
+    lambda_k(A) >= lambda_k(B) >= lambda_{k+n-m}(A) for B an m x m
+    principal submatrix of a symmetric n x n A.  Subtrees keep distances:
+    D(T(1,1)) is D(T(a,b)) on (0, 1, 2, 3, 3+a), and D(T(a,b)) is D(T(c,c))
+    on i -> i (i < 3+a), 3+a+j -> 3+c+j, both checked by integer equality."""
     if max_ab < 1:
         raise ValueError("max_ab must be >= 1")
+    tcc = {c: distance_matrix(named_graph("T", c, c))
+           for c in range(1, max_ab + 1)}
+    polys = {c: charpoly_exact(d) for c, d in tcc.items()}
+    # T(1,1)'s eigenvalues round to the bounds: PAPER_TOL of slack
+    p11 = polys[1]
+    lows = [(f"lambda{k} >= {t:g}", _versus(p11, k, _decimal(t) - _TOL) >= 0)
+            for k, t in _T11_LOWS]
+    lows.append((f"lambda_n <= {forms.LAMBDA_N_HIGH:g}",
+                 _versus(p11, 5, _decimal(forms.LAMBDA_N_HIGH) + _TOL) <= 0))
+    highs = {c: [(f"lambda{k} <= lambda{k}(Tcc) < {high:g}",
+                  _versus(p, k, high) < 0) for k, high in _UPPER_BOUNDS]
+             for c, p in polys.items()}
     witnesses = []
-    tcc_cache: dict[int, Spectrum] = {}
     for a in range(1, max_ab + 1):
         for b in range(1, max_ab + 1):
-            s = eigenvalues_sym(distance_matrix(named_graph("T", a, b)))
-            checks = [(f"lambda{k} >= {low:g}", s.nth(k) >= low - PAPER_TOL)
-                      for k, low in _T11_LOWS]
-            checks.append((f"lambda_n <= {forms.LAMBDA_N_HIGH:g}",
-                           s.nth(s.n) <= forms.LAMBDA_N_HIGH + PAPER_TOL))
             c = max(a, b)
-            if c not in tcc_cache:
-                tcc_cache[c] = eigenvalues_sym(
-                    distance_matrix(named_graph("T", c, c)))
-            t = tcc_cache[c]
-            checks += [(f"lambda{k} <= lambda{k}(Tcc) < {high:g}",
-                        s.nth(k) <= t.nth(k) + 1e-9 and t.nth(k) < high)
-                       for k, high in _UPPER_BOUNDS]
-            for name, ok in checks:
-                if not ok:
-                    witnesses.append({"a": a, "b": b, "bound": name,
-                                      "spectrum": list(s.values)})
+            d = distance_matrix(named_graph("T", a, b))
+            below = _principal(d, tcc[1], (0, 1, 2, 3, 3 + a))
+            above = _principal(tcc[c], d,
+                               (*range(3 + a), *range(3 + c, 3 + c + b)))
+            failed = [name for name, ok in lows if not (ok and below)]
+            failed += [name for name, ok in highs[c] if not (ok and above)]
+            witnesses += [{"a": a, "b": b, "bound": name} for name in failed]
     return _result("interlacing", witnesses, {"pairs_checked": max_ab * max_ab})
 
 
@@ -169,48 +182,49 @@ def verify_interlacing_bounds(max_ab: int = 8) -> VerificationResult:
 # cycle spectra
 
 def verify_cycle_lemmas(max_n: int = 12) -> VerificationResult:
-    """Closed cycle spectra vs numeric, the small-cycle eigenvalue facts,
-    the capped-matrix facts, and the exact -2 multiplicity cap for n >= 8."""
+    """Closed cycle spectra (each closed value v, read exactly, holds its
+    multiplicity of charpoly roots in [v - 1e-9, v + 1e-9], in disjoint
+    windows), the small-cycle and capped-matrix eigenvalue facts, and the
+    exact -2 multiplicity cap for n >= 8."""
     if max_n < 8:
         raise ValueError("max_n must be >= 8")
     witnesses = []
-    numeric_by_n = {}
-    for n in range(3, max_n + 1):
+    dm = {n: distance_matrix(named_graph("C", n)) for n in range(3, max_n + 1)}
+    polys = {n: charpoly_exact(d) for n, d in dm.items()}
+    for n, p in polys.items():
         closed = forms.cycle_spectrum_closed(n)
-        numeric = numeric_by_n[n] = eigenvalues_sym(
-            distance_matrix(named_graph("C", n)))
-        if closed.n != numeric.n or any(
-                abs(x - y) > 1e-9 for x, y in zip(closed.values, numeric.values)):
+        runs = [(Fraction(v), len([*g])) for v, g in groupby(closed.values)]
+        if closed.n != n or any(
+                x - y <= 2 * _WINDOW for (x, _), (y, _) in zip(runs, runs[1:])
+        ) or any(_roots_in(p, v - _WINDOW, v + _WINDOW, closed=True) != k
+                 for v, k in runs):
             witnesses.append({"n": n, "closed": list(closed.values),
-                              "numeric": list(numeric.values)})
+                              "numeric": list(eigenvalues_sym(dm[n]).values)})
 
-    polys = {n: charpoly_exact(distance_matrix(named_graph("C", n)))
-             for n in range(4, max_n + 1)}
     if _versus(polys[4], 2, 0) != 0:
         witnesses.append({"fact": "lambda2(C4)=0",
-                          "got": numeric_by_n[4].nth(2)})
+                          "got": eigenvalues_sym(dm[4]).nth(2)})
     if not _near(polys[5], 3, forms.C5_LAMBDA3):
         witnesses.append({"fact": f"lambda3(C5)={forms.C5_LAMBDA3:.4f}",
-                          "got": numeric_by_n[5].nth(3)})
+                          "got": eigenvalues_sym(dm[5]).nth(3)})
     for n in (6, 7):
         if _versus(polys[n], 5, -2) == 0:
             witnesses.append({"fact": f"lambda5(C{n}) != -2",
-                              "got": numeric_by_n[n].nth(5)})
+                              "got": eigenvalues_sym(dm[n]).nth(5)})
 
     for n in range(8, max_n + 1):
         mult = root_counts(polys[n], -2)[1]
         if mult > 2:
             witnesses.append({"fact": f"mult(-2) of C{n} <= 2", "got": mult})
 
-    capped = {n: eigenvalues_sym(forms.capped_cycle_matrix(n)) for n in (6, 7)}
-    if _versus(charpoly_exact(forms.capped_cycle_matrix(6)), 5, -3) != 0:
+    capped = {n: forms.capped_cycle_matrix(n) for n in (6, 7)}
+    if _versus(charpoly_exact(capped[6]), 5, -3) != 0:
         witnesses.append({"fact": "capped C6 lambda5 = -3",
-                          "got": capped[6].nth(5)})
-    if not _near(charpoly_exact(forms.capped_cycle_matrix(7)), 5,
-                 forms.CAPPED_C7_LAMBDA5):
+                          "got": eigenvalues_sym(capped[6]).nth(5)})
+    if not _near(charpoly_exact(capped[7]), 5, forms.CAPPED_C7_LAMBDA5):
         witnesses.append({"fact": "capped C7 lambda5 = "
                                   f"{forms.CAPPED_C7_LAMBDA5:.4f}",
-                          "got": capped[7].nth(5)})
+                          "got": eigenvalues_sym(capped[7]).nth(5)})
     return _result("cycles", witnesses,
                    {"max_n": max_n,
                     "minus2_requirement_if_submatrix": {
@@ -227,6 +241,7 @@ class CaseReport:
     exceptions: list[dict]
     enumerated: int
     feasible: int
+    polys: list[IntPoly]  # each row's charpoly, in row order; not reported
     note: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -254,15 +269,16 @@ def run_case_table(family: str) -> CaseReport:
     """
     template = forms.forbidden_template(family)
     m = template.n
+    assignments = list(template.assignments())
+    matrices = [template.instantiate(a) for a in assignments]
+    polys = [IntPoly(row) for row in charpoly_rows(matrices)]
     rows = []
     exceptions = []
     feasible_count = 0
-    for assignment in template.assignments():
-        matrix = template.instantiate(assignment)
+    for assignment, matrix, p in zip(assignments, matrices, polys):
         feasible = forms.metric_feasible(matrix)
         feasible_count += feasible
         s = eigenvalues_sym(matrix)
-        p = charpoly_exact(matrix)
         if m >= 10:
             # -2 run required at positions 5..m-1; inspect lambda_{m-1}
             # first, then lambda2 once the run is intact
@@ -299,7 +315,7 @@ def run_case_table(family: str) -> CaseReport:
         note = ("sweep sentence names parameters a,b,c,d but the template "
                 "carries e as well (presumed typo); all five enumerated")
     return CaseReport(family, rows, exceptions,
-                      template.assignment_count(), feasible_count, note)
+                      template.assignment_count(), feasible_count, polys, note)
 
 
 def verify_case(family: str) -> VerificationResult:
@@ -320,29 +336,26 @@ def verify_case(family: str) -> VerificationResult:
                               "expected": expected,
                               "got": report.exceptions})
 
-    template = forms.forbidden_template(family)
-
-    def versus(assignment, k, t):
-        return _versus(charpoly_exact(template.instantiate(assignment)), k, t)
-
     if family == "H3":
-        exc = [r for r in report.rows if r["verdict"] == "exception"]
-        if not any(versus(r["assignment"], 4, -1) == 0 for r in exc):
+        exc = [(r, p) for r, p in zip(report.rows, report.polys)
+               if r["verdict"] == "exception"]
+        if not any(_versus(p, 4, -1) == 0 for _, p in exc):
             witnesses.append({"check": "lambda4 = -1 at the H3 exception",
-                              "rows": exc})
+                              "rows": [r for r, _ in exc]})
     if family == "K4":
-        if versus(report.rows[0]["assignment"], 4, -1) != 0:
+        if _versus(report.polys[0], 4, -1) != 0:
             witnesses.append({"check": "lambda4(K4) = -1",
                               "got": report.rows[0]["eigenvalue"]["value"]})
     if family == "F4":
         by_a = {r["assignment"]["a"]: r for r in report.rows}
-        if versus({"a": 2}, 9, -2) == 0:
+        poly_a = dict(zip(by_a, report.polys))
+        if _versus(poly_a[2], 9, -2) == 0:
             witnesses.append({"check": "a=2 fails the -2 run",
                               "row": by_a[2]})
         if by_a[2]["eigenvalue"]["index"] != 9:
             witnesses.append({"check": "a=2 inspected at lambda9",
                               "row": by_a[2]})
-        if versus({"a": 3}, 2, 0) != 0:
+        if _versus(poly_a[3], 2, 0) != 0:
             witnesses.append({"check": "a=3 gives lambda2 = 0",
                               "row": by_a[3]})
         if by_a[3]["eigenvalue"]["index"] != 2:

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from specgraph import mate
+from specgraph import mate, verify
 from specgraph.cli import main, parse_graph_spec
 from specgraph.graphs import Graph, named_graph, to_graph6
 from specgraph.mate import enumerate_connected
@@ -172,6 +172,21 @@ class TestVerify:
         assert rows["theorem31"] == "pass"
         assert set(rows.values()) == {"pass"}
 
+    def test_all_at_benchmark_bounds(self, capsys):
+        # the verify-wide workload's bounds: every verifier passes except
+        # case:F2, whose one exception is a=2
+        code, out, _ = run_cli(capsys, "verify", "all", "--max-ab", "12",
+                               "--max-n", "24", "--max-c", "300",
+                               "--no-timestamp")
+        assert code == 1
+        results = json.loads(out)["results"]
+        assert [r["lemma"] for r in results] == list(verify.VERIFIER_IDS)
+        assert [r["lemma"] for r in results if r["status"] != "pass"] == \
+            ["case:F2"]
+        f2 = next(r for r in results if r["lemma"] == "case:F2")
+        assert f2["status"] == "fail"
+        assert f2["exceptions"] == [{"a": 2}]
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, "verify", "cycles", "--max-n", "9",
@@ -276,6 +291,39 @@ class TestMateSearch:
                              "--input", str(path))
         assert code == 0
         assert pools == [[2, None], [2, None]]
+
+    @pytest.mark.parametrize("command", ["mate-search", "report"])
+    @pytest.mark.parametrize("flag,env", [
+        ("0", None), ("-2", None), (None, "0"), (None, "abc")])
+    def test_jobs_below_one_exit_2(self, capsys, monkeypatch, command,
+                                   flag, env):
+        if env is not None:
+            monkeypatch.setenv("SPECGRAPH_JOBS", env)
+        argv = [command] + (["--n", "5"] if command == "mate-search" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + (["--jobs", flag] if flag is not None else []))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "SPECGRAPH_JOBS" in err
+        assert repr(flag if flag is not None else env) in err
+
+    def test_verify_ignores_jobs_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPECGRAPH_JOBS", "abc")
+        code, out, _ = run_cli(capsys, "verify", "lemma22", "--max-ab", "2",
+                               "--format", "csv")
+        assert (code, out) == (0, "lemma,status\nlemma22,pass\n")
+
+    def test_tab_csv_rejected_before_generation(self, capsys, monkeypatch):
+        # the CSV is the class table alone and would drop the verdict
+        def no_generation(*args, **kwargs):
+            raise AssertionError("class table built for a rejected format")
+
+        monkeypatch.setattr(mate, "cospectral_classes_builtin",
+                            no_generation)
+        code, out, err = run_cli(capsys, "mate-search", "--tab", "2,3",
+                                 "--format", "csv")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --format csv ")
 
     def test_csv_summary(self, capsys):
         code, out, _ = run_cli(capsys, "mate-search", "--n", "5",

@@ -8,7 +8,7 @@ import pytest
 from specgraph import forms, verify
 from specgraph.exactpoly import IntPoly, MPoly, charpoly_exact
 from specgraph.graphs import distance_matrix, named_graph
-from specgraph.spectra import Spectrum
+from specgraph.spectra import Spectrum, eigenvalues_sym
 from specgraph.verify import (
     run_case_table,
     run_verifier,
@@ -55,12 +55,13 @@ class TestInterlacing:
             verify_interlacing_bounds(max_ab)
 
     def test_witness_names(self, monkeypatch):
-        # spectra far above and far below every bound name each of the
-        # eight checks, from forms' interval table, in the reported text
+        # charpolys with every root far above and far below every bound,
+        # for T(1,1) and T(c,c) alike, name each of the eight checks, from
+        # forms' interval table, in the reported text
         names = set()
-        for value in (100.0, -100.0):
-            monkeypatch.setattr(verify, "eigenvalues_sym",
-                                lambda d, v=value: Spectrum((v,) * len(d)))
+        for value in (100, -100):
+            monkeypatch.setattr(verify, "charpoly_exact",
+                                lambda d, v=value: IntPoly([-v, 1]) ** len(d))
             names |= {w["bound"] for w in
                       verify_interlacing_bounds(1).details["witnesses"]}
         assert names == {
@@ -69,6 +70,42 @@ class TestInterlacing:
             "lambda2 <= lambda2(Tcc) < 0",
             "lambda3 <= lambda3(Tcc) < -0.4226",
             "lambda4 <= lambda4(Tcc) < -1.5774"}
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_upper_bound_at_an_exact_tcc_eigenvalue(self, monkeypatch, k):
+        # a bound 1e-12 above the largest lambda_k(T(c,c)), c <= 3, holds;
+        # 1e-12 below it, exactly the pairs with that c = max(a,b) fail
+        tops = {c: eigenvalues_sym(distance_matrix(named_graph("T", c, c)))
+                .nth(k) for c in (1, 2, 3)}
+        c = max(tops, key=tops.get)
+        for shift in (1e-12, -1e-12):
+            high = tops[c] + shift
+            monkeypatch.setattr(verify, "_UPPER_BOUNDS", ((k, high),))
+            witnesses = verify_interlacing_bounds(3).details["witnesses"]
+            assert [(w["a"], w["b"]) for w in witnesses] == (
+                [] if shift > 0 else
+                [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)
+                 if max(a, b) == c])
+            assert {w["bound"] for w in witnesses} <= {
+                f"lambda{k} <= lambda{k}(Tcc) < {high:g}"}
+
+    def test_a_matrix_off_the_subtree_fails_its_pairs(self, monkeypatch):
+        # T(2,1)'s two leaves at center 0 moved to distance 3: it is no
+        # longer D(T(2,2)) restricted, and T(1,1) still sits in it at
+        # (0, 1, 2, 3, 5), so only T(2,1)'s three upper bounds fail
+        real = verify.distance_matrix
+
+        def moved(g):
+            d = [list(row) for row in real(g)]
+            if g == named_graph("T", 2, 1):
+                d[3][4] = d[4][3] = 3
+            return tuple(map(tuple, d))
+
+        monkeypatch.setattr(verify, "distance_matrix", moved)
+        witnesses = verify_interlacing_bounds(2).details["witnesses"]
+        assert [(w["a"], w["b"], w["bound"]) for w in witnesses] == [
+            (2, 1, f"lambda{k} <= lambda{k}(Tcc) < {high:g}")
+            for k, high in verify._UPPER_BOUNDS]
 
 
 class TestCycles:
@@ -80,6 +117,25 @@ class TestCycles:
     def test_rejects_small_bound(self):
         with pytest.raises(ValueError):
             verify_cycle_lemmas(7)
+
+    @pytest.mark.parametrize("fault", [
+        "moved by 1e-8", "one value dropped", "a value's window overlaps"])
+    def test_closed_spectrum_fault_fails(self, monkeypatch, fault):
+        # C6's distance spectrum is 9, 0, 0, -1, -4, -4; in the last fault
+        # -1 + 1e-9 stands in for 9, so each window holds its count but 9
+        # is in none
+        true = forms.cycle_spectrum_closed(6).values
+        faulty = {
+            "moved by 1e-8": (9 + 1e-8, *true[1:]),
+            "one value dropped": true[1:],
+            "a value's window overlaps": (0, 0, -1 + 1e-9, -1, -4, -4),
+        }[fault]
+        real = forms.cycle_spectrum_closed
+        monkeypatch.setattr(forms, "cycle_spectrum_closed",
+                            lambda n: Spectrum(faulty) if n == 6 else real(n))
+        r = verify_cycle_lemmas(8)
+        assert [w["n"] for w in r.details["witnesses"]] == [6]
+        assert r.details["witnesses"][0]["numeric"] == pytest.approx(true)
 
     @pytest.mark.parametrize("name,fact", [
         ("C5_LAMBDA3", "lambda3(C5)="),
