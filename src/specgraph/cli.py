@@ -198,12 +198,7 @@ def cmd_mate_search(args) -> int:
         raise UsageError(str(exc)) from exc
     errors = [f"line {ln}: {msg}" for ln, msg in problems]
 
-    verdict = None
-    if a is not None:
-        try:
-            verdict = mate.ds_verdict(a, b, classes=classes)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    verdict = None if a is None else mate.ds_verdict(a, b, classes=classes)
 
     if args.format != "json":  # the JSON carries them as input_diagnostics
         for line in errors:

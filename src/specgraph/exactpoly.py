@@ -1,18 +1,13 @@
-"""Exact polynomial arithmetic and fraction-free linear algebra.
+"""Exact univariate polynomials and the package's one exact engine.
 
-Two polynomial types, both over arbitrary-precision integers:
-
-    IntPoly  univariate in the eigenvalue variable L
-    MPoly    sparse multivariate in (L, a', b', c', c), stored as a map
-             from exponent vectors to nonzero integer coefficients
-
-plus the exact kernels built on them: Faddeev-LeVerrier characteristic
+IntPoly is a polynomial over arbitrary-precision integers, in the
+eigenvalue variable L (verify also uses it as Z[c], in the common star
+size c).  The kernels built on it are Faddeev-LeVerrier characteristic
 polynomials of stacks of integer matrices (in int64 where a proven bound
 rules out overflow, modulo word-size primes with a Chinese-remainder lift
-otherwise), Bareiss fraction-free determinants of polynomial matrices,
-exact division, and root counts above and at a rational (Descartes' rule
-of signs after a Taylor shift), the one rule by which the package places
-a root.  No floats anywhere in this module.
+otherwise) and root counts above and at a rational (Descartes' rule of
+signs after a Taylor shift), the one rule by which the package places a
+root.  No floats anywhere in this module.
 """
 
 from __future__ import annotations
@@ -20,17 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb, isqrt
-from operator import itemgetter
 
 import numpy as np
-
-VARS = ("L", "a'", "b'", "c'", "c")
-_VAR_INDEX = {name: i for i, name in enumerate(VARS)}
-_ZERO_EXP = (0, 0, 0, 0, 0)
-
-
-class ExactDivisionError(ArithmeticError):
-    """A division that was required to be exact left a remainder."""
 
 
 class IntPoly:
@@ -112,227 +98,24 @@ class IntPoly:
         return acc
 
     def text(self) -> str:
-        return _join_terms((_l_power(i), c) for i, c
-                           in reversed(tuple(enumerate(self.coeffs))) if c)
+        """Signed terms in descending powers of L, as "-L^2 + 3*L - 1"."""
+        parts = []
+        for i in range(self.degree, -1, -1):
+            coeff = self.coeffs[i]
+            if not coeff:
+                continue
+            mono = f"L^{i}" if i > 1 else "L" if i else ""
+            mag = abs(coeff)
+            body = (str(mag) if not mono else mono if mag == 1
+                    else f"{mag}*{mono}")
+            if not parts:
+                parts.append(body if coeff > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+        return " ".join(parts) or "0"
 
     def __repr__(self):
         return f"IntPoly({self.text()})"
-
-
-# parameters in name order (a', b', c, c'), as indices into an exponent
-_PARAMS = tuple((_VAR_INDEX[p], p) for p in sorted(VARS[1:]))
-_RANK = itemgetter(0, *(i for i, _ in _PARAMS))
-
-
-def _term_key(item):
-    """The L power, then the parameter powers in name order; exponents
-    are distinct, so the descending order is total."""
-    return _RANK(item[0])
-
-
-def _l_power(k: int) -> str:
-    return f"L^{k}" if k > 1 else "L" if k else ""
-
-
-def _monomial(exp) -> str:
-    """L first, then the parameters in name order, joined by '*'."""
-    factors = [_l_power(exp[0])] if exp[0] else []
-    factors += [p if exp[i] == 1 else f"{p}^{exp[i]}"
-                for i, p in _PARAMS if exp[i]]
-    return "*".join(factors)
-
-
-def _render_terms(items) -> str:
-    """Canonical text of (exponent, coefficient) items: descending L
-    powers, parameters in name order."""
-    return _join_terms((_monomial(exp), coeff) for exp, coeff
-                       in sorted(items, key=_term_key, reverse=True))
-
-
-def _join_terms(terms) -> str:
-    """The one renderer: ordered (monomial, coefficient) terms, '' the
-    constant monomial, as signed text."""
-    parts = []
-    for mono, coeff in terms:
-        mag = abs(coeff)
-        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(parts) or "0"
-
-
-class MPoly:
-    """Sparse polynomial in (L, a', b', c', c) with integer coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if coeff:
-                    self.terms[tuple(exp)] = int(coeff)
-
-    @classmethod
-    def const(cls, value: int) -> "MPoly":
-        return cls({_ZERO_EXP: value})
-
-    @classmethod
-    def var(cls, name: str) -> "MPoly":
-        exp = [0] * len(VARS)
-        exp[_VAR_INDEX[name]] = 1
-        return cls({tuple(exp): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = MPoly.const(other)
-        return isinstance(other, MPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self):
-        return MPoly({e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = MPoly.const(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        p = MPoly()
-        p.terms = out
-        return p
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = MPoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return MPoly.const(other) + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return MPoly()
-            return MPoly({e: c * other for e, c in self.terms.items()})
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2],
-                     e1[3] + e2[3], e1[4] + e2[4])
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        p = MPoly()
-        p.terms = out
-        return p
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = MPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def variables(self) -> set[str]:
-        used = set()
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used.add(VARS[i])
-        return used
-
-    def coeff_of(self, name: str, power: int) -> "MPoly":
-        """Coefficient of name**power, as a polynomial in the other
-        variables."""
-        i = _VAR_INDEX[name]
-        out = {}
-        for exp, c in self.terms.items():
-            if exp[i] == power:
-                e = list(exp)
-                e[i] = 0
-                out[tuple(e)] = c
-        return MPoly(out)
-
-    def constant_term(self) -> int:
-        return self.terms.get(_ZERO_EXP, 0)
-
-    def substitute(self, name: str, value) -> "MPoly":
-        """Exact substitution of one variable by an int or an MPoly."""
-        if isinstance(value, int):
-            value = MPoly.const(value)
-        i = _VAR_INDEX[name]
-        # group by power of the substituted variable, then Horner
-        by_power: dict[int, MPoly] = {}
-        for exp, c in self.terms.items():
-            e = list(exp)
-            k = e[i]
-            e[i] = 0
-            part = by_power.setdefault(k, MPoly())
-            part.terms[tuple(e)] = part.terms.get(tuple(e), 0) + c
-        acc = MPoly()
-        for k in range(max(by_power, default=0), -1, -1):
-            acc = acc * value + by_power.get(k, MPoly())
-        return acc
-
-    def divexact(self, den: "MPoly") -> "MPoly":
-        """Exact polynomial division; raises ExactDivisionError on any
-        remainder."""
-        if den.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        den_items = sorted(den.terms.items(), reverse=True)
-        den_lead_exp, den_lead_coeff = den_items[0]
-        rem = dict(self.terms)
-        quot: dict[tuple, int] = {}
-        while rem:
-            lead_exp = max(rem)
-            lead_coeff = rem[lead_exp]
-            exp = tuple(a - b for a, b in zip(lead_exp, den_lead_exp))
-            if any(e < 0 for e in exp) or lead_coeff % den_lead_coeff:
-                raise ExactDivisionError(
-                    f"not divisible: leading term {lead_exp} vs {den_lead_exp}")
-            c = lead_coeff // den_lead_coeff
-            quot[exp] = c
-            for dexp, dcoeff in den_items:
-                e = (exp[0] + dexp[0], exp[1] + dexp[1], exp[2] + dexp[2],
-                     exp[3] + dexp[3], exp[4] + dexp[4])
-                s = rem.get(e, 0) - c * dcoeff
-                if s:
-                    rem[e] = s
-                else:
-                    rem.pop(e, None)
-        return MPoly(quot)
-
-    def text(self) -> str:
-        return _render_terms(list(self.terms.items()))
-
-    def __repr__(self):
-        return f"MPoly({self.text()})"
-
-
-L = MPoly.var("L")
 
 
 # ---------------------------------------------------------------------------
@@ -497,50 +280,6 @@ def charpoly_exact(matrix) -> IntPoly:
     """det(M - L*I) for a square integer matrix, exactly: a stack of one
     through charpoly_rows."""
     return IntPoly(charpoly_rows([matrix])[0])
-
-
-# ---------------------------------------------------------------------------
-# fraction-free determinant of polynomial matrices
-
-def bareiss_det(matrix) -> MPoly:
-    """Exact determinant by Bareiss fraction-free elimination.
-
-    Entries may be MPoly or int.  All interior divisions are exact by the
-    Bareiss identity; a remainder would mean a broken invariant, so it is a
-    hard fault rather than a recoverable error.
-    """
-    M = [[e if isinstance(e, MPoly) else MPoly.const(e) for e in row]
-         for row in matrix]
-    n = len(M)
-    if n == 0 or any(len(row) != n for row in M):
-        raise ValueError("matrix must be square and nonempty")
-    if n == 1:
-        return M[0][0]
-    sign = 1
-    prev = MPoly.const(1)
-    for k in range(n - 1):
-        if M[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not M[i][k].is_zero():
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return MPoly()
-        pivot = M[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = pivot * M[i][j] - M[i][k] * M[k][j]
-                try:
-                    M[i][j] = num.divexact(prev)
-                except ExactDivisionError as exc:
-                    raise AssertionError(
-                        "Bareiss interior division failed; elimination "
-                        "invariant broken") from exc
-            M[i][k] = MPoly()
-        prev = pivot
-    det = M[n - 1][n - 1]
-    return det if sign == 1 else -det
 
 
 # ---------------------------------------------------------------------------

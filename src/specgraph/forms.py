@@ -1,8 +1,8 @@
 """Closed-form reference catalog for the extended-double-star analysis.
 
 Everything here is a *transcription*: closed-form polynomials, parametric
-distance-matrix templates for the forbidden-subgraph sweeps, the symbolic
-hat matrices for the diameter-3 case split, and the reference p1..p5 /
+distance-matrix templates for the forbidden-subgraph sweeps, the class-
+distance matrices of the diameter-3 hat cases, and the reference p1..p5 /
 q1..q5 coefficient tables.  Nothing in this module re-derives anything;
 re-derivation lives in specgraph.verify, which checks these tables against
 independently computed determinants and BFS charpolys.  Keeping the two
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 
-from .exactpoly import IntPoly, MPoly
+from .exactpoly import IntPoly
 from .graphs import distance_matrix, named_graph
 from .spectra import Spectrum
 
@@ -33,7 +33,7 @@ LAMBDA_N_HIGH = -5.2361
 def _build_pab(a, b) -> tuple:
     """Coefficients of L^0..L^5 of 16+8a+8b + (40+36a+36b+8ab)L
     + (28+44a+44b+24ab)L^2 + (2+18a+18b+12ab)L^3 + (-4+2a+2b)L^4 - L^5,
-    with a, b int or MPoly."""
+    with a, b int or IntPoly."""
     ab = a * b
     return (16 + 8 * a + 8 * b,
             40 + 36 * a + 36 * b + 8 * ab,
@@ -51,11 +51,18 @@ def p_ab(a: int, b: int) -> IntPoly:
     return IntPoly(_build_pab(a, b))
 
 
-def p_cc_sym() -> MPoly:
-    """p_{c,c} with the common star size c left symbolic."""
-    c, lam = MPoly.var("c"), MPoly.var("L")
-    return sum((k * lam ** i for i, k in enumerate(_build_pab(c, c))),
-               MPoly())
+# the common star size c left symbolic: an IntPoly read as Z[c]
+_C = IntPoly([0, 1])
+
+
+def _over_zc(coeffs) -> tuple[IntPoly, ...]:
+    """A builder's L-coefficients as polynomials in c, ints as constants."""
+    return tuple(IntPoly() + x for x in coeffs)
+
+
+def p_cc_sym() -> tuple[IntPoly, ...]:
+    """p_{c,c}'s L^0..L^5 coefficients, each a polynomial in c."""
+    return _over_zc(_build_pab(_C, _C))
 
 
 def tab_charpoly_closed(a: int, b: int) -> tuple[int, IntPoly]:
@@ -68,33 +75,49 @@ def tab_charpoly_closed(a: int, b: int) -> tuple[int, IntPoly]:
     return a + b - 2, p_ab(a, b)
 
 
+def minus_two_run(e: int, q: IntPoly) -> IntPoly:
+    """(-L-2)^e * q: q with e more roots at -2."""
+    return IntPoly([-2, -1]) ** e * q
+
+
 def tab_charpoly_expanded(a: int, b: int) -> IntPoly:
-    exponent, reduced = tab_charpoly_closed(a, b)
-    return IntPoly([-2, -1]) ** exponent * reduced
+    return minus_two_run(*tab_charpoly_closed(a, b))
+
+
+def _build_f(c) -> tuple:
+    """Coefficients of L^0..L^3 of -L^3 + 6c L^2 + (12c+6) L + (4c+4),
+    with c int or IntPoly."""
+    return (4 * c + 4, 12 * c + 6, 6 * c, -1)
+
+
+def _build_g(c) -> tuple:
+    """Coefficients of L^0..L^2 of L^2 + (2c+4) L + 4, with c int or
+    IntPoly."""
+    return (4, 2 * c + 4, 1)
 
 
 def f_poly(c: int) -> IntPoly:
     """-L^3 + 6c L^2 + (12c+6) L + (4c+4)."""
     if c < 1:
         raise ValueError("f is used for c >= 1")
-    return IntPoly([4 * c + 4, 12 * c + 6, 6 * c, -1])
+    return IntPoly(_build_f(c))
 
 
 def g_poly(c: int) -> IntPoly:
     """L^2 + (2c+4) L + 4, with roots -(c+2) +- sqrt(c^2+4c)."""
     if c < 1:
         raise ValueError("g is used for c >= 1")
-    return IntPoly([4, 2 * c + 4, 1])
+    return IntPoly(_build_g(c))
 
 
-def f_poly_sym() -> MPoly:
-    lam, c = MPoly.var("L"), MPoly.var("c")
-    return -(lam ** 3) + 6 * c * lam ** 2 + (12 * c + 6) * lam + (4 * c + 4)
+def f_poly_sym() -> tuple[IntPoly, ...]:
+    """f's L^0..L^3 coefficients, each a polynomial in c."""
+    return _over_zc(_build_f(_C))
 
 
-def g_poly_sym() -> MPoly:
-    lam, c = MPoly.var("L"), MPoly.var("c")
-    return lam ** 2 + (2 * c + 4) * lam + 4
+def g_poly_sym() -> tuple[IntPoly, ...]:
+    """g's L^0..L^2 coefficients, each a polynomial in c."""
+    return _over_zc(_build_g(_C))
 
 
 def cycle_spectrum_closed(n: int) -> Spectrum:
@@ -335,46 +358,49 @@ def forbidden_template(family: str) -> MatrixTemplate:
 
 
 # ---------------------------------------------------------------------------
-# symbolic hat matrices (diameter-3 case split)
+# hat matrices (diameter-3 case split)
 #
-# Row/column order: x2, x3, the k hats, then one representative each for the
-# a'-class and b'-class of pendant neighbors.  k = 1 carries the extra
-# c'-class of neighbors hanging off the single hat.
+# Classes in row/column order: x2, x3 and the k hats (common neighbours of
+# x2 and x3), then the a'-class of pendant neighbours of x2 and the
+# b'-class of those of x3; k = 1 carries a third pendant class, the c'
+# neighbours of the single hat.  D_k holds the distance between members of
+# two classes and, on the diagonal, between two members of one class: 2 in
+# a pendant class, 0 for a singleton.
 
-def hat_matrix(k: int) -> list[list[MPoly]]:
-    lam = MPoly.var("L")
-    ap, bp, cp = MPoly.var("a'"), MPoly.var("b'"), MPoly.var("c'")
-    one, two = MPoly.const(1), MPoly.const(2)
-    if k == 1:
-        return [
-            [-lam, one, one, ap, 2 * bp, 2 * cp],
-            [one, -lam, one, 2 * ap, bp, 2 * cp],
-            [one, one, -lam, 2 * ap, 2 * bp, cp],
-            [one, two, two, 2 * ap - 2 - lam, 3 * bp, 3 * cp],
-            [two, one, two, 3 * ap, 2 * bp - 2 - lam, 3 * cp],
-            [two, two, one, 3 * ap, 3 * bp, 2 * cp - 2 - lam],
-        ]
-    if not 2 <= k <= 5:
-        raise ValueError("hat matrices are defined for k in 1..5")
+def _hat_distances(k: int) -> list[list[int]]:
     dim = k + 4
     A, B = dim - 2, dim - 1
-    M = [[two for _ in range(dim)] for _ in range(dim)]
-    M[0][0] = M[1][1] = -lam
-    M[0][1] = M[1][0] = one
-    for i in range(k):
-        h = 2 + i
-        M[h][h] = -lam
-        M[0][h] = M[h][0] = one
-        M[1][h] = M[h][1] = one
-    M[0][A], M[0][B] = ap, 2 * bp
-    M[1][A], M[1][B] = 2 * ap, bp
-    for i in range(k):
-        M[2 + i][A], M[2 + i][B] = 2 * ap, 2 * bp
-    M[A][0], M[A][1] = one, two
-    M[A][A], M[A][B] = 2 * ap - 2 - lam, 3 * bp
-    M[B][0], M[B][1] = two, one
-    M[B][A], M[B][B] = 3 * ap, 2 * bp - 2 - lam
-    return M
+    D = [[2] * dim for _ in range(dim)]
+    for i in range(k + 2):
+        D[i][i] = 0
+        for j in (0, 1):
+            if i != j:
+                D[i][j] = D[j][i] = 1
+    D[0][A] = D[A][0] = D[1][B] = D[B][1] = 1
+    D[A][B] = D[B][A] = 3
+    if k == 1:
+        for row, d in zip(D, (2, 2, 1, 3, 3)):
+            row.append(d)
+        D.append([2, 2, 1, 3, 3, 2])
+    return D
+
+
+def hat_matrix(k: int, *sizes: int) -> list[list[int]]:
+    """The quotient Q = D_k diag(s) - diag(D_k) of the k-hat distance
+    matrix over its classes (Godsil & Royle, Algebraic Graph Theory, 9.3),
+    at pendant class sizes (a', b'), or (a', b', c') for k = 1; x2, x3
+    and each hat have size 1.  Entry (i, j) sums the distances from one
+    member of class i to the members of class j.  The k-hat determinant is
+    p_k = det(Q - L*I), Q's characteristic polynomial; verify.verify_hats
+    says why its values at sizes 0 and 1 fix it."""
+    if not 1 <= k <= 5:
+        raise ValueError("hat matrices are defined for k in 1..5")
+    D = _hat_distances(k)
+    if len(sizes) != len(D) - k - 2:
+        raise ValueError(f"hat matrix {k} takes {len(D) - k - 2} class sizes")
+    s = (1,) * (k + 2) + sizes
+    return [[d * sj - (d if i == j else 0) for j, (d, sj) in
+             enumerate(zip(row, s))] for i, row in enumerate(D)]
 
 
 # ---------------------------------------------------------------------------
@@ -523,23 +549,21 @@ _Q_TABLE = {
 }
 
 
-def _from_table(rows) -> MPoly:
-    terms = {}
-    for coeff, lam, ap, bp, cp in rows:
-        terms[(lam, ap, bp, cp, 0)] = coeff
-    return MPoly(terms)
+def _from_table(rows) -> dict:
+    return {(lam, ap, bp, cp): coeff for coeff, lam, ap, bp, cp in rows}
 
 
-def appendix_p(k: int) -> MPoly:
-    """Reference k-hat determinant polynomial p_k."""
+def appendix_p(k: int) -> dict:
+    """Reference k-hat determinant p_k as {(L, a', b', c') exponents:
+    coefficient}."""
     if k not in _P_TABLE:
         raise ValueError("p_k is tabulated for k in 1..5")
     return _from_table(_P_TABLE[k])
 
 
-def appendix_q(k: int) -> MPoly:
+def appendix_q(k: int) -> dict:
     """Reference reduced quotient q_k with p_k = (-L-2)^{k-1} q_k (after
-    c' = 0 for k = 1)."""
+    c' = 0 for k = 1), keyed like appendix_p."""
     if k not in _Q_TABLE:
         raise ValueError("q_k is tabulated for k in 1..5")
     return _from_table(_Q_TABLE[k])

@@ -364,8 +364,11 @@ def _finish(order: int, acc: dict, total: int,
 
 
 def _pool_size(jobs: int) -> int:
-    """Worker count for jobs: at least one, at most one per CPU."""
-    return max(1, min(jobs, os.cpu_count() or 1))
+    """Worker count for jobs: at most one per CPU; ValueError for jobs
+    below 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _class_part(graphs) -> tuple[int, dict]:
@@ -451,8 +454,8 @@ def cospectral_classes_builtin(n: int, jobs: int = 1) -> CospectralClasses:
     """Classes over all connected graphs of order n from the built-in
     generator; level n-1 is split into parent slices, one task each.
     Raises RuntimeError unless both levels hold A001349 graphs."""
-    parents = _parents(n)
     jobs = _pool_size(jobs)
+    parents = _parents(n)
     # one serial task keeps a single part dict; workers get 8 slices each
     step = max(1, len(parents) // (jobs * 8)) if jobs > 1 else len(parents)
     tasks = [parents[i:i + step] for i in range(0, len(parents), step)]

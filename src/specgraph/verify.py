@@ -19,18 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 
 from . import forms
-from .exactpoly import (
-    ExactDivisionError,
-    IntPoly,
-    MPoly,
-    bareiss_det,
-    charpoly_exact,
-    charpoly_rows,
-    root_counts,
-)
+from .exactpoly import IntPoly, charpoly_exact, charpoly_rows, root_counts
 from .graphs import distance_matrix, named_graph
 from .spectra import PAPER_TOL, eigenvalues_sym
 
@@ -119,8 +111,7 @@ def verify_lemma22(max_ab: int = 8, closed_form=None) -> VerificationResult:
     witnesses = []
     for a in range(1, max_ab + 1):
         for b in range(1, max_ab + 1):
-            exponent, reduced = closed_form(a, b)
-            expanded = IntPoly([-2, -1]) ** exponent * reduced
+            expanded = forms.minus_two_run(*closed_form(a, b))
             derived = charpoly_exact(distance_matrix(named_graph("T", a, b)))
             if expanded != derived:
                 diff = [
@@ -323,18 +314,11 @@ def verify_case(family: str) -> VerificationResult:
     pinned eigenvalue facts."""
     report = run_case_table(family)
     witnesses = []
-    if family == "F3":
-        # every exception must sit at a=2
-        bad = [e for e in report.exceptions if e.get("a") != 2]
-        if bad or not report.exceptions:
-            witnesses.append({"check": "exceptions only at a=2",
-                              "exceptions": report.exceptions})
-    else:
-        expected = [dict(e) for e in EXPECTED_EXCEPTIONS[family]]
-        if report.exceptions != expected:
-            witnesses.append({"check": "exceptional tuples",
-                              "expected": expected,
-                              "got": report.exceptions})
+    expected = [dict(e) for e in EXPECTED_EXCEPTIONS[family]]
+    if report.exceptions != expected:
+        witnesses.append({"check": "exceptional tuples",
+                          "expected": expected,
+                          "got": report.exceptions})
 
     if family == "H3":
         exc = [(r, p) for r, p in zip(report.rows, report.polys)
@@ -368,67 +352,108 @@ def verify_case(family: str) -> VerificationResult:
 # ---------------------------------------------------------------------------
 # hat determinants
 
+def _by_monomial(table: dict) -> dict:
+    """{(a', b', c') exponents: the polynomial in L multiplying them} of a
+    {(L, a', b', c') exponents: coefficient} table."""
+    rows: dict[tuple, dict] = {}
+    for (power, *mono), coeff in table.items():
+        rows.setdefault(tuple(mono), {})[power] = coeff
+    return {mono: IntPoly([row.get(i, 0) for i in range(max(row) + 1)])
+            for mono, row in rows.items()}
+
+
+def _hat_terms(k: int, matrix_builder) -> dict:
+    """det(Q - L*I) for Q = matrix_builder(k, *sizes), as {(L, a', b',
+    c') exponents: coefficient}, from its values at the sizes in {0, 1}."""
+    m = 3 if k == 1 else 2
+    corners = list(product((0, 1), repeat=m))
+    values = [IntPoly(row) for row in charpoly_rows(
+        [matrix_builder(k, *sizes) for sizes in corners])]
+    terms = {}
+    for S in corners:
+        e_S = IntPoly()
+        for T, value in zip(corners, values):
+            if all(t <= s for t, s in zip(T, S)):
+                e_S = e_S + (-1) ** (sum(S) - sum(T)) * value
+        for power, coeff in enumerate(e_S.coeffs):
+            if coeff:
+                terms[(power, *S, *(0,) * (3 - m))] = coeff
+    return terms
+
+
 def verify_hats(k: int, ref_p=None, ref_q=None,
                 matrix_builder=None) -> VerificationResult:
-    """Symbolic determinant of the k-hat matrix against the reference p_k,
-    its exact (-L-2)-divisibility down to q_k, the k=1 evaluation at -2,
-    and the constant-term reduction to a'+b' = -4."""
+    """The k-hat determinant p_k = det(Q - L*I), Q the class quotient
+    forms.hat_matrix, against the reference p_k term by term; then
+    p_k (at c' = 0 for k = 1) = (-L-2)^{max(1, k-1)} q_k, the k=1
+    evaluation p1(-2) = 28a'b'c', and the constant-term reduction to
+    a'+b' = -4, each compared one monomial in a', b', c' at a time.
+
+    One charpoly_rows call gives p_k exactly.  A pendant class size s_j
+    scales column j of Q - L*I alone (that column is s_j times D_k's
+    column j, less 2 + L in row j), and a determinant is linear in each
+    column, so p_k is affine in each of a', b', c': a sum over the sets S
+    of pendant classes of prod_{j in S} s_j times a polynomial e_S in L.
+    Its values at the 2^m corners, every size 0 or 1, fix each e_S by
+    Moebius inversion, e_S = sum over T within S of (-1)^{|S|-|T|} times
+    the value with the sizes in T at 1 and the rest at 0: no degree guess
+    and no float.
+    """
     if not 1 <= k <= 5:
         raise ValueError("k in 1..5")
     ref_p = ref_p or forms.appendix_p
     ref_q = ref_q or forms.appendix_q
     matrix_builder = matrix_builder or forms.hat_matrix
     witnesses = []
-    lam = MPoly.var("L")
-    neg = -lam - 2
 
-    det = bareiss_det(matrix_builder(k))
+    derived = _hat_terms(k, matrix_builder)
     pk = ref_p(k)
-    if det != pk:
-        diff = {exp: (det.terms.get(exp, 0), pk.terms.get(exp, 0))
-                for exp in set(det.terms) | set(pk.terms)
-                if det.terms.get(exp, 0) != pk.terms.get(exp, 0)}
+    diff = {exp: [derived.get(exp, 0), pk.get(exp, 0)]
+            for exp in derived.keys() | pk.keys()
+            if derived.get(exp, 0) != pk.get(exp, 0)}
+    if diff:
+        # exponents of (L, a', b', c', c), the fifth always 0 here
         witnesses.append({"check": f"det(hat matrix {k}) == p{k}",
-                          "term_diffs": {str(e): list(v)
-                                         for e, v in sorted(diff.items())[:5]}})
+                          "term_diffs": {str((*exp, 0)): v for exp, v
+                                         in sorted(diff.items())[:5]}})
 
+    p_polys, q_polys = _by_monomial(pk), _by_monomial(ref_q(k))
     if k == 1:
-        at_minus2 = pk.substitute("L", -2)
-        target = 28 * MPoly.var("a'") * MPoly.var("b'") * MPoly.var("c'")
-        if at_minus2 != target:
+        at_minus2 = {mono: p(-2) for mono, p in sorted(p_polys.items())
+                     if p(-2)}
+        if at_minus2 != {(1, 1, 1): 28}:
             witnesses.append({"check": "p1(-2) = 28*a'*b'*c'",
-                              "got": at_minus2.text()})
-        reduced_src = pk.substitute("c'", 0)
-        divisor = neg
-        exponent = 1
-    else:
-        reduced_src = pk
-        divisor = neg ** (k - 1)
-        exponent = k - 1
-    try:
-        quotient = reduced_src.divexact(divisor)
-        if quotient != ref_q(k):
-            witnesses.append({"check": f"p{k} / (-L-2)^{exponent} == q{k}",
-                              "got": quotient.text(),
-                              "expected": ref_q(k).text()})
-    except ExactDivisionError:
-        witnesses.append(
-            {"check": f"p{k} divisible by (-L-2)^{exponent}",
-             "result": "remainder nonzero"})
+                              "got": {str(mono): v
+                                      for mono, v in at_minus2.items()}})
+    exponent = max(1, k - 1)
+    want = {mono: p for mono, p in p_polys.items() if not mono[2]}
+    got = {mono: forms.minus_two_run(exponent, q)
+           for mono, q in q_polys.items()}
+    zero = IntPoly()
+    bad = sorted(mono for mono in want.keys() | got.keys()
+                 if want.get(mono, zero) != got.get(mono, zero))
+    if bad:
+        witnesses.append({
+            "check": f"p{k} == (-L-2)^{exponent} * q{k}"
+                     + (" at c' = 0" if k == 1 else ""),
+            "monomials": {str(mono): [list(want.get(mono, zero).coeffs),
+                                      list(got.get(mono, zero).coeffs)]
+                          for mono in bad[:5]}})
 
     # vertex-count identity a+b = a'+b'+k-1, then
     # const(q_k) = const(p_ab) = 16 + 8(a+b) must force a'+b' = -4
-    ap, bp = MPoly.var("a'"), MPoly.var("b'")
-    const_q = ref_q(k).coeff_of("L", 0)
-    equation = const_q - (16 + 8 * (ap + bp + (k - 1)))
-    alpha = equation.coeff_of("a'", 1)
-    reduced = equation - (alpha.constant_term() * (ap + bp + 4)
-                          if not alpha.is_zero() else MPoly())
-    if alpha.is_zero() or alpha.variables() or not reduced.is_zero():
+    const_q = {mono: q(0) for mono, q in q_polys.items()}
+    target = {(0, 0, 0): 16 + 8 * (k - 1), (1, 0, 0): 8, (0, 1, 0): 8}
+    equation = {mono: c for mono in sorted(const_q.keys() | target.keys())
+                if (c := const_q.get(mono, 0) - target.get(mono, 0))}
+    alpha = equation.get((1, 0, 0), 0)
+    if not alpha or equation != {(0, 0, 0): 4 * alpha, (1, 0, 0): alpha,
+                                 (0, 1, 0): alpha}:
         witnesses.append({"check": "constant terms force a'+b' = -4",
-                          "equation": equation.text()})
+                          "equation": {str(mono): coeff
+                                       for mono, coeff in equation.items()}})
     return _result(f"hats:{k}", witnesses,
-                   {"p_terms": len(ref_p(k).terms),
+                   {"p_terms": len(pk),
                     "p1_at_minus2": "28*a'*b'*c'" if k == 1 else None})
 
 
@@ -532,14 +557,18 @@ def verify_fg_roots(max_c: int = 100) -> VerificationResult:
                                        f"{forms.LAMBDA2_HIGH:g})", "c": c})
 
     # factorization: (-L-2)^(2c-2) * g * f == charpoly(D(T(c,c))), and the
-    # symbolic quintic identity g*f == p_{c,c}
-    fg = forms.g_poly_sym() * forms.f_poly_sym()
-    if fg != forms.p_cc_sym():
+    # symbolic quintic identity g*f == p_{c,c}, over Z[c]
+    g, f = forms.g_poly_sym(), forms.f_poly_sym()
+    fg = [IntPoly()] * (len(g) + len(f) - 1)
+    for i, x in enumerate(g):
+        for j, y in enumerate(f):
+            fg[i + j] = fg[i + j] + x * y
+    if tuple(fg) != forms.p_cc_sym():
         witnesses.append({"check": "g*f == p_cc symbolically",
-                          "got": fg.text()})
+                          "got": [list(x.coeffs) for x in fg]})
     for c in range(1, 7):
-        quintic = (forms.g_poly(c) * forms.f_poly(c))
-        closed = IntPoly([-2, -1]) ** (2 * c - 2) * quintic
+        closed = forms.minus_two_run(2 * c - 2,
+                                     forms.g_poly(c) * forms.f_poly(c))
         derived = charpoly_exact(distance_matrix(named_graph("T", c, c)))
         if closed != derived:
             witnesses.append({"check": "T(c,c) factorization", "c": c})
@@ -549,29 +578,23 @@ def verify_fg_roots(max_c: int = 100) -> VerificationResult:
 # ---------------------------------------------------------------------------
 # aggregate
 
-VERIFIER_IDS = ("lemma22", "interlacing", "cycles",
-                *(f"case:{f}" for f in forms.CASE_FAMILIES),
-                *(f"hats:{k}" for k in range(1, 6)),
-                "theorem31", "fg-roots")
+# every verifier in report order, called with (max_ab, max_n, max_c)
+_VERIFIERS = {
+    "lemma22": lambda ab, n, c: verify_lemma22(ab),
+    "interlacing": lambda ab, n, c: verify_interlacing_bounds(ab),
+    "cycles": lambda ab, n, c: verify_cycle_lemmas(n),
+    **{f"case:{f}": lambda ab, n, c, f=f: verify_case(f)
+       for f in forms.CASE_FAMILIES},
+    **{f"hats:{k}": lambda ab, n, c, k=k: verify_hats(k)
+       for k in range(1, 6)},
+    "theorem31": lambda ab, n, c: verify_theorem31(ab),
+    "fg-roots": lambda ab, n, c: verify_fg_roots(c),
+}
+VERIFIER_IDS = tuple(_VERIFIERS)
 
 
 def run_verifier(lemma_id: str, max_ab: int = 8, max_n: int = 12,
                  max_c: int = 100) -> VerificationResult:
-    if lemma_id == "lemma22":
-        return verify_lemma22(max_ab)
-    if lemma_id == "interlacing":
-        return verify_interlacing_bounds(max_ab)
-    if lemma_id == "cycles":
-        return verify_cycle_lemmas(max_n)
-    if lemma_id.startswith("case:"):
-        family = lemma_id.split(":", 1)[1]
-        if family not in forms.CASE_FAMILIES:
-            raise ValueError(f"unknown case family {family!r}")
-        return verify_case(family)
-    if lemma_id.startswith("hats:"):
-        return verify_hats(int(lemma_id.split(":", 1)[1]))
-    if lemma_id == "theorem31":
-        return verify_theorem31(max_ab)
-    if lemma_id == "fg-roots":
-        return verify_fg_roots(max_c)
-    raise ValueError(f"unknown lemma id {lemma_id!r}")
+    if lemma_id not in _VERIFIERS:
+        raise ValueError(f"unknown lemma id {lemma_id!r}")
+    return _VERIFIERS[lemma_id](max_ab, max_n, max_c)

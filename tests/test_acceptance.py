@@ -16,6 +16,7 @@ table reports it honestly as an exception.
 import os
 import time
 from contextlib import contextmanager
+from itertools import product
 
 import pytest
 
@@ -26,9 +27,8 @@ from oracle_utils import (
 from specgraph import forms, mate, verify
 from specgraph.exactpoly import (
     IntPoly,
-    MPoly,
-    bareiss_det,
     charpoly_exact,
+    charpoly_rows,
     root_counts,
 )
 from specgraph.forms import (
@@ -144,25 +144,70 @@ def test_criterion_5_f2_no_exceptions_as_stated():
         assert verify.run_case_table("F2").exceptions == []
 
 
+def _l_polys(table):
+    """{(a', b', c') exponents: polynomial in L} of a {(L, a', b', c'):
+    coefficient} table."""
+    top = max(exp[0] for exp in table)
+    return {exp[1:]: IntPoly([table.get((i, *exp[1:]), 0)
+                              for i in range(top + 1)]) for exp in table}
+
+
+def _hat_determinant(k):
+    """det(Q - L*I) as {(a', b', c'): polynomial in L}: charpolys at the
+    class sizes in {0, 1}, then inclusion-exclusion over the corners."""
+    m = 3 if k == 1 else 2
+    corners = list(product((0, 1), repeat=m))
+    values = charpoly_rows([hat_matrix(k, *s) for s in corners])
+    out = {}
+    for S in corners:
+        poly = IntPoly()
+        for T, row in zip(corners, values):
+            if all(t <= s for t, s in zip(T, S)):
+                poly = poly + (-1) ** (sum(S) - sum(T)) * IntPoly(row)
+        if not poly.is_zero():
+            out[(*S, *(0,) * (3 - m))] = poly
+    return out
+
+
+def _evaluate(polys, sizes):
+    total = IntPoly()
+    for mono, poly in polys.items():
+        weight = 1
+        for size, e in zip(sizes, mono):
+            weight *= size ** e
+        total = total + weight * poly
+    return total
+
+
 def test_criterion_6_hat_identities():
     with criterion(6, "hat determinants, divisibility, a'+b' = -4"):
-        lam = MPoly.var("L")
-        neg = -lam - 2
-        ap, bp, cp = MPoly.var("a'"), MPoly.var("b'"), MPoly.var("c'")
         for k in range(1, 6):
-            assert bareiss_det(hat_matrix(k)) == appendix_p(k), k
-        assert appendix_p(1).substitute("L", -2) == 28 * ap * bp * cp
-        assert appendix_p(1).substitute("c'", 0).divexact(
-            neg) == appendix_q(1)
-        for k in range(2, 6):
-            assert appendix_p(k).divexact(
-                neg ** (k - 1)) == appendix_q(k), k
-        for k in range(1, 6):
-            equation = (appendix_q(k).coeff_of("L", 0)
-                        - (16 + 8 * (ap + bp + (k - 1))))
-            alpha = equation.coeff_of("a'", 1)
-            assert not alpha.is_zero() and not alpha.variables(), k
-            assert equation == alpha.constant_term() * (ap + bp + 4), k
+            p, q = _l_polys(appendix_p(k)), _l_polys(appendix_q(k))
+            det = _hat_determinant(k)
+            assert det == p, k
+            # the affine premise, away from the corners
+            m = 3 if k == 1 else 2
+            sizes = list(product((2, 3), repeat=m))
+            for s, row in zip(sizes, charpoly_rows(
+                    [hat_matrix(k, *s) for s in sizes])):
+                assert IntPoly(row) == _evaluate(p, s), (k, s)
+            # p_k (at c' = 0) = (-L-2)^max(1, k-1) * q_k, monomial-wise
+            run = IntPoly([-2, -1]) ** max(1, k - 1)
+            assert {mono: run * poly for mono, poly in q.items()} == {
+                mono: poly for mono, poly in p.items() if not mono[2]}, k
+            # const(q_k) - (16 + 8(a'+b'+k-1)) = alpha * (a'+b'+4)
+            const = {mono: poly(0) for mono, poly in q.items() if poly(0)}
+            alpha = const.get((1, 0, 0), 0) - 8
+            assert alpha != 0, k
+            assert const == {
+                mono: c for mono, c in {
+                    (0, 0, 0): 16 + 8 * (k - 1) + 4 * alpha,
+                    (1, 0, 0): 8 + alpha, (0, 1, 0): 8 + alpha}.items()
+                if c}, k
+            assert verify.verify_hats(k).ok, k
+        p1 = _l_polys(appendix_p(1))
+        assert {mono: poly(-2) for mono, poly in p1.items()
+                if poly(-2)} == {(1, 1, 1): 28}
 
 
 def test_criterion_7_fg_roots_and_factorization():
@@ -219,36 +264,32 @@ def test_criterion_10_mutation_sensitivity():
             witness = r.details["witnesses"][0]
             assert {"a", "b", "coefficient_diff"} <= set(witness)
 
-        # reference hat tables: every single-term bump is distinguishable
-        # from the re-derived determinants and quotients, which only need
-        # computing once per k
-        lam = MPoly.var("L")
-        neg = -lam - 2
+        # reference hat tables: every single-term bump, and a bump at three
+        # exponents besides (an a'^2 term among them, which no table has),
+        # fails the verifier, at the check of the table that was bumped
+        extra = {(0, 0, 0, 0), (3, 1, 1, 0), (2, 2, 0, 0)}
         for k in range(1, 6):
-            det = bareiss_det(hat_matrix(k))
-            src = det.substitute("c'", 0) if k == 1 else det
-            quot = src.divexact(neg ** max(1, k - 1))
-            for exp in forms.appendix_p(k).terms:
-                mutant = forms.appendix_p(k) + MPoly({exp: 1})
-                assert mutant != det, (k, exp)
-            for exp in forms.appendix_q(k).terms:
-                mutant = forms.appendix_q(k) + MPoly({exp: 1})
-                assert mutant != quot, (k, exp)
+            for table in ("p", "q"):
+                ref = getattr(forms, f"appendix_{table}")
+                for exp in sorted(ref(k).keys() | extra):
+                    def bumped(kk, _e=exp, _ref=ref):
+                        t = _ref(kk)
+                        t[_e] = t.get(_e, 0) + 1
+                        return t
+                    r = verify.verify_hats(k, **{f"ref_{table}": bumped})
+                    assert not r.ok, (k, table, exp)
+                    checks = [w["check"] for w in r.details["witnesses"]]
+                    assert any(c.startswith("det") for c in checks) \
+                        == (table == "p"), (k, table, exp, checks)
 
-        # verifier-level spot checks: the failure is localized to the k and
-        # check that was mutated
-        for k in (1, 3, 5):
-            exp = sorted(forms.appendix_p(k).terms)[0]
-            r = verify.verify_hats(
-                k, ref_p=lambda kk, _e=exp: forms.appendix_p(kk)
-                + MPoly({_e: 1}))
-            assert not r.ok, k
-            assert any("det" in w["check"] or "p" in w["check"]
-                       for w in r.details["witnesses"])
-        for k in (2, 4):
-            exp = sorted(forms.appendix_q(k).terms)[0]
-            r = verify.verify_hats(
-                k, ref_q=lambda kk, _e=exp: forms.appendix_q(kk)
-                + MPoly({_e: 1}))
-            assert not r.ok, k
+        # the hat matrices: +1 on any one entry fails the determinant check
+        for k in range(1, 6):
+            dim = len(hat_matrix(k, *(1,) * (3 if k == 1 else 2)))
+            for i, j in product(range(dim), repeat=2):
+                def builder(kk, *sizes, _i=i, _j=j):
+                    q = hat_matrix(kk, *sizes)
+                    q[_i][_j] += 1
+                    return q
+                r = verify.verify_hats(k, matrix_builder=builder)
+                assert not r.ok, (k, i, j)
         assert time.time() - t0 < 30.0

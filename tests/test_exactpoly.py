@@ -1,4 +1,4 @@
-"""Exact polynomial kernels: FL charpoly, Bareiss, division, root counts."""
+"""Exact polynomial kernels: IntPoly, FL charpoly, root counts."""
 
 import math
 import random
@@ -10,10 +10,7 @@ import pytest
 from oracle_utils import fl_charpoly
 from specgraph import exactpoly
 from specgraph.exactpoly import (
-    ExactDivisionError,
     IntPoly,
-    MPoly,
-    bareiss_det,
     charpoly_exact,
     charpoly_rows,
     root_counts,
@@ -22,11 +19,12 @@ from specgraph.graphs import distance_matrix, named_graph
 
 
 def cofactor_det(M):
-    """Independent oracle: textbook cofactor expansion."""
+    """Independent oracle: textbook cofactor expansion of a matrix of
+    IntPoly entries."""
     n = len(M)
     if n == 1:
         return M[0][0]
-    total = MPoly()
+    total = IntPoly()
     for j in range(n):
         if M[0][j].is_zero():
             continue
@@ -34,16 +32,6 @@ def cofactor_det(M):
         term = M[0][j] * cofactor_det(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
-
-
-def random_mpoly(rng, vars_=("L", "a'", "b'"), max_terms=3, max_coeff=4):
-    p = MPoly()
-    for _ in range(rng.randint(0, max_terms)):
-        term = MPoly.const(rng.randint(-max_coeff, max_coeff))
-        for v in vars_:
-            term = term * MPoly.var(v) ** rng.randint(0, 1)
-        p = p + term
-    return p
 
 
 class TestIntPoly:
@@ -69,42 +57,7 @@ class TestIntPoly:
         assert IntPoly([-1, 0, 1]).text() == "L^2 - 1"
         assert IntPoly([]).text() == "0"
         assert IntPoly([2, -1]).text() == "-L + 2"
-
-
-class TestMPoly:
-    def test_construction_drops_zeros(self):
-        p = MPoly({(0, 0, 0, 0, 0): 0, (1, 0, 0, 0, 0): 2})
-        assert p == MPoly.var("L") * 2
-
-    def test_ring_ops(self):
-        a = MPoly.var("a'")
-        b = MPoly.var("b'")
-        assert (a + b) * (a - b) == a * a - b * b
-        assert (a + 1) ** 2 == a * a + 2 * a + 1
-
-    def test_substitute_constant(self):
-        lam = MPoly.var("L")
-        c = MPoly.var("c")
-        f = -(lam ** 3) + 6 * c * lam ** 2 + (12 * c + 6) * lam + (4 * c + 4)
-        f1 = f.substitute("c", 1)
-        assert f1 == -(lam ** 3) + 6 * lam ** 2 + 18 * lam + 8
-
-    def test_substitute_identity(self):
-        rng = random.Random(3)
-        for _ in range(20):
-            p = random_mpoly(rng)
-            assert p.substitute("a'", MPoly.var("a'")) == p
-
-    def test_substitute_poly(self):
-        lam = MPoly.var("L")
-        p = lam ** 2
-        assert p.substitute("L", lam + 1) == lam ** 2 + 2 * lam + 1
-
-    def test_text_order(self):
-        a, b = MPoly.var("a'"), MPoly.var("b'")
-        lam = MPoly.var("L")
-        p = lam ** 2 - 4 * a * b + 28 * a * b * MPoly.var("c'")
-        assert p.text() == "L^2 + 28*a'*b'*c' - 4*a'*b'"
+        assert IntPoly([-1, 3, 0, -2]).text() == "-2*L^3 + 3*L - 1"
 
 
 class TestCharpoly:
@@ -133,15 +86,12 @@ class TestCharpoly:
 
     def test_agrees_with_cofactor_oracle(self):
         rng = random.Random(17)
-        lam = MPoly.var("L")
         for _ in range(20):
             n = rng.randint(1, 5)
             M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            sym = [[MPoly.const(M[i][j]) - (lam if i == j else 0)
+            sym = [[IntPoly([M[i][j], -1 if i == j else 0])
                     for j in range(n)] for i in range(n)]
-            coeffs = charpoly_exact(M).coeffs
-            assert cofactor_det(sym).terms == {
-                (i, 0, 0, 0, 0): c for i, c in enumerate(coeffs) if c}
+            assert cofactor_det(sym) == charpoly_exact(M)
 
     def test_1x1(self):
         assert charpoly_exact([[5]]) == IntPoly([5, -1])
@@ -271,65 +221,6 @@ class TestCharpolyRows:
             charpoly_rows([[[1, 2]]])
         with pytest.raises(ValueError):
             charpoly_exact([])
-
-
-class TestBareiss:
-    def test_1x1(self):
-        q = MPoly.var("a'") + 3
-        assert bareiss_det([[q]]) == q
-
-    def test_2x2(self):
-        lam = MPoly.var("L")
-        det = bareiss_det([[-lam, MPoly.const(1)], [MPoly.const(1), -lam]])
-        assert det == lam ** 2 - 1
-
-    def test_int_entries_promoted(self):
-        assert bareiss_det([[2, 1], [1, 2]]) == MPoly.const(3)
-
-    def test_zero_pivot_row_swap(self):
-        assert bareiss_det([[0, 1], [1, 0]]) == MPoly.const(-1)
-
-    def test_singular(self):
-        a = MPoly.var("a'")
-        assert bareiss_det([[a, a], [a, a]]).is_zero()
-
-    def test_agrees_with_cofactor_oracle(self):
-        rng = random.Random(23)
-        for _ in range(60):
-            n = rng.randint(1, 4)
-            M = [[random_mpoly(rng) for _ in range(n)] for _ in range(n)]
-            assert bareiss_det(M) == cofactor_det(M)
-
-
-class TestDivision:
-    def test_trivial(self):
-        lam = MPoly.var("L")
-        assert (lam ** 2 - 1).divexact(lam + 1) == lam - 1
-
-    def test_roundtrip_random(self):
-        rng = random.Random(31)
-        done = 0
-        while done < 200:
-            a = random_mpoly(rng, max_terms=4)
-            b = random_mpoly(rng, max_terms=3)
-            if b.is_zero():
-                continue
-            assert (a * b).divexact(b) == a
-            done += 1
-
-    def test_inexact_raises(self):
-        lam = MPoly.var("L")
-        with pytest.raises(ExactDivisionError):
-            (lam ** 2 + 1).divexact(lam + 1)
-
-    def test_coefficient_inexact_raises(self):
-        lam = MPoly.var("L")
-        with pytest.raises(ExactDivisionError):
-            (3 * lam).divexact(2 * lam)
-
-    def test_divide_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            MPoly.const(1).divexact(MPoly())
 
 
 class TestRootMultiplicity:

@@ -1,10 +1,12 @@
 """Closed-form catalog: transcriptions, templates, hat matrices, intervals."""
 
+from itertools import product
+
 import pytest
 
 from oracle_utils import interval_table_violations
 
-from specgraph.exactpoly import IntPoly, MPoly, charpoly_exact
+from specgraph.exactpoly import IntPoly, charpoly_exact, charpoly_rows
 from specgraph.forms import (
     MatrixTemplate,
     appendix_p,
@@ -18,6 +20,7 @@ from specgraph.forms import (
     g_poly_sym,
     hat_matrix,
     metric_feasible,
+    minus_two_run,
     p_ab,
     p_cc_sym,
     tab_charpoly_closed,
@@ -84,7 +87,20 @@ class TestFG:
                 assert abs(g(root)) < 1e-9 * max(1.0, root * root)
 
     def test_quintic_identity_symbolic(self):
-        assert g_poly_sym() * f_poly_sym() == p_cc_sym()
+        # L-coefficients over Z[c], multiplied by convolution
+        g, f = g_poly_sym(), f_poly_sym()
+        fg = [IntPoly()] * (len(g) + len(f) - 1)
+        for i, x in enumerate(g):
+            for j, y in enumerate(f):
+                fg[i + j] = fg[i + j] + x * y
+        assert tuple(fg) == p_cc_sym()
+        assert p_cc_sym()[1] == IntPoly([40, 72, 8])  # 40 + 72c + 8c^2
+
+    def test_symbolic_forms_specialize(self):
+        for c in range(1, 6):
+            assert IntPoly([x(c) for x in f_poly_sym()]) == f_poly(c)
+            assert IntPoly([x(c) for x in g_poly_sym()]) == g_poly(c)
+            assert IntPoly([x(c) for x in p_cc_sym()]) == p_ab(c, c)
 
     def test_factorization_against_exact(self):
         for c in range(1, 7):
@@ -214,79 +230,148 @@ class TestTemplates:
             forbidden_template("H9")
 
 
+def l_poly(table, mono):
+    """The polynomial in L multiplying the (a', b', c') monomial mono of a
+    {(L, a', b', c'): coefficient} table."""
+    top = max(exp[0] for exp in table)
+    return IntPoly([table.get((i, *mono), 0) for i in range(top + 1)])
+
+
+def monomials(table):
+    return {exp[1:] for exp in table}
+
+
+def table_at(table, n, sizes):
+    """L^0..L^n coefficients of a table with the sizes substituted."""
+    out = [0] * (n + 1)
+    for (power, *exps), coeff in table.items():
+        term = coeff
+        for size, e in zip(sizes, exps):
+            term *= size ** e
+        out[power] += term
+    return out
+
+
+def divide_by_minus_l_minus_2(p):
+    """(quotient, remainder) of p by -L-2, by synthetic division at -2."""
+    coeffs = p.coeffs
+    quot = [0] * (len(coeffs) - 1)
+    acc = 0
+    for i in range(len(coeffs) - 1, 0, -1):
+        acc = coeffs[i] + acc * -2
+        quot[i - 1] = acc
+    return -IntPoly(quot), coeffs[0] + acc * -2
+
+
 class TestHatMatrices:
     def test_k1_entries(self):
-        m = hat_matrix(1)
-        lam = MPoly.var("L")
-        assert m[0][0] == -lam
-        assert m[3][3] == 2 * MPoly.var("a'") - 2 - lam
-        assert m[2][5] == MPoly.var("c'")
-        assert len(m) == 6
+        m = hat_matrix(1, 3, 5, 7)
+        assert m[0][0] == 0
+        assert m[3][3] == 2 * 3 - 2
+        assert m[2][5] == 7
+        assert len(m) == 6 and all(len(row) == 6 for row in m)
 
     def test_k3_shape(self):
-        m = hat_matrix(3)
+        m = hat_matrix(3, 2, 4)
         assert len(m) == 7
-        # hat block: -L diagonal, 2 off-diagonal
-        assert m[3][4] == MPoly.const(2)
-        assert m[4][4] == -MPoly.var("L")
+        # hat block: 0 diagonal, 2 off-diagonal
+        assert m[3][4] == 2
+        assert m[4][4] == 0
 
     def test_k2_full_transcription(self):
-        lam, ap, bp = (MPoly.var("L"), MPoly.var("a'"), MPoly.var("b'"))
-        one, two = MPoly.const(1), MPoly.const(2)
+        # the printed k = 2 matrix, at L = 0
+        ap, bp = 3, 5
         expected = [
-            [-lam, one, one, one, ap, 2 * bp],
-            [one, -lam, one, one, 2 * ap, bp],
-            [one, one, -lam, two, 2 * ap, 2 * bp],
-            [one, one, two, -lam, 2 * ap, 2 * bp],
-            [one, two, two, two, 2 * ap - 2 - lam, 3 * bp],
-            [two, one, two, two, 3 * ap, 2 * bp - 2 - lam],
+            [0, 1, 1, 1, ap, 2 * bp],
+            [1, 0, 1, 1, 2 * ap, bp],
+            [1, 1, 0, 2, 2 * ap, 2 * bp],
+            [1, 1, 2, 0, 2 * ap, 2 * bp],
+            [1, 2, 2, 2, 2 * ap - 2, 3 * bp],
+            [2, 1, 2, 2, 3 * ap, 2 * bp - 2],
         ]
-        assert hat_matrix(2) == expected
+        assert hat_matrix(2, ap, bp) == expected
+
+    def test_k1_full_transcription(self):
+        # the printed k = 1 matrix, at L = 0
+        ap, bp, cp = 3, 5, 7
+        expected = [
+            [0, 1, 1, ap, 2 * bp, 2 * cp],
+            [1, 0, 1, 2 * ap, bp, 2 * cp],
+            [1, 1, 0, 2 * ap, 2 * bp, cp],
+            [1, 2, 2, 2 * ap - 2, 3 * bp, 3 * cp],
+            [2, 1, 2, 3 * ap, 2 * bp - 2, 3 * cp],
+            [2, 2, 1, 3 * ap, 3 * bp, 2 * cp - 2],
+        ]
+        assert hat_matrix(1, ap, bp, cp) == expected
 
     def test_k5_shape(self):
-        m = hat_matrix(5)
+        m = hat_matrix(5, 3, 4)
         assert len(m) == 9
-        assert m[8][8] == 2 * MPoly.var("b'") - 2 - MPoly.var("L")
+        assert m[8][8] == 2 * 4 - 2
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            hat_matrix(6)
+            hat_matrix(6, 1, 1)
         with pytest.raises(ValueError):
-            hat_matrix(0)
+            hat_matrix(0, 1, 1)
+        with pytest.raises(ValueError):
+            hat_matrix(1, 1, 1)
+        with pytest.raises(ValueError):
+            hat_matrix(2, 1, 1, 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_off_corner_charpolys_match_table(self, k):
+        # p_k is affine in each class size: its table, evaluated at sizes
+        # away from {0, 1}, is the charpoly there
+        m = 3 if k == 1 else 2
+        sizes = list(product((2, 3, 7), repeat=m))
+        rows = charpoly_rows([hat_matrix(k, *s) for s in sizes])
+        for s, row in zip(sizes, rows):
+            assert row == table_at(appendix_p(k), len(row) - 1, s), s
 
 
 class TestAppendixTables:
     def test_p1_leading(self):
-        assert appendix_p(1).coeff_of("L", 6) == MPoly.const(1)
+        assert {e: c for e, c in appendix_p(1).items() if e[0] == 6} \
+            == {(6, 0, 0, 0): 1}
 
     def test_q3_constant(self):
-        ap, bp = MPoly.var("a'"), MPoly.var("b'")
-        assert appendix_q(3).coeff_of("L", 0) == 8 + 2 * ap + 2 * bp
+        assert {e[1:]: c for e, c in appendix_q(3).items() if e[0] == 0} \
+            == {(0, 0, 0): 8, (1, 0, 0): 2, (0, 1, 0): 2}
 
     def test_q1_partial_evaluation_at_zero(self):
-        ap, bp = MPoly.var("a'"), MPoly.var("b'")
-        assert appendix_q(1).coeff_of("L", 0) == 8 + 6 * ap + 6 * bp
+        assert {e[1:]: c for e, c in appendix_q(1).items() if e[0] == 0} \
+            == {(0, 0, 0): 8, (1, 0, 0): 6, (0, 1, 0): 6}
 
     def test_p1_at_minus_two(self):
-        spec = appendix_p(1).substitute("L", -2)
-        assert spec.text() == "28*a'*b'*c'"
+        p = appendix_p(1)
+        at = {m: l_poly(p, m)(-2) for m in monomials(p)}
+        assert {m: v for m, v in at.items() if v} == {(1, 1, 1): 28}
 
     def test_p5_leading(self):
-        assert appendix_p(5).coeff_of("L", 9) == MPoly.const(-1)
+        assert {e: c for e, c in appendix_p(5).items() if e[0] == 9} \
+            == {(9, 0, 0, 0): -1}
 
     def test_q_tables_consistent_with_p(self):
         # internal consistency of the transcription: multiplying the reduced
-        # form back recovers the full table
-        lam = MPoly.var("L")
-        neg = -lam - 2
-        assert neg * appendix_q(1) == appendix_p(1).substitute("c'", 0)
-        for k in range(2, 6):
-            assert neg ** (k - 1) * appendix_q(k) == appendix_p(k)
+        # form back recovers the full table, at c' = 0 for k = 1
+        for k in range(1, 6):
+            p, q = appendix_p(k), appendix_q(k)
+            assert k == 1 or all(not m[2] for m in monomials(p))
+            assert all(not m[2] for m in monomials(q))
+            for m in monomials(p) | monomials(q):
+                if not m[2]:
+                    assert minus_two_run(max(1, k - 1), l_poly(q, m)) \
+                        == l_poly(p, m), (k, m)
 
     def test_divisibility_via_poly_div(self):
-        lam = MPoly.var("L")
-        q3 = appendix_p(3).divexact((-lam - 2) ** 2)
-        assert q3 == appendix_q(3)
+        p, q = appendix_p(3), appendix_q(3)
+        assert monomials(p) == monomials(q)
+        for m in monomials(p):
+            once, r1 = divide_by_minus_l_minus_2(l_poly(p, m))
+            twice, r2 = divide_by_minus_l_minus_2(once)
+            assert r1 == r2 == 0
+            assert twice == l_poly(q, m)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

@@ -409,6 +409,16 @@ class TestClasses:
             assert cospectral_classes_builtin(n, jobs=2).to_json_dict() == doc
         assert pools == [[2, None]] * 6
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, tmp_path, monkeypatch, jobs):
+        # the built-in source rejects them before it builds level n-1
+        monkeypatch.setattr(mate, "_parents", None)
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            cospectral_classes_builtin(5, jobs=jobs)
+        path = write_graph6(tmp_path / "t11.g6", [named_graph("T", 1, 1)])
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            cospectral_classes_graph6(path, 5, jobs=jobs)
+
     def test_chunked_stream_identical(self, tmp_path, monkeypatch):
         graphs = list(enumerate_connected(6))
         one = stream_classes(tmp_path, graphs, 6, jobs=1)

@@ -1,12 +1,13 @@
 """Verifier suite: pass status at desk bounds, witnesses on injected faults."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
 from specgraph import forms, verify
-from specgraph.exactpoly import IntPoly, MPoly, charpoly_exact
+from specgraph.exactpoly import IntPoly, charpoly_exact
 from specgraph.graphs import distance_matrix, named_graph
 from specgraph.spectra import Spectrum, eigenvalues_sym
 from specgraph.verify import (
@@ -249,6 +250,19 @@ class TestCaseTables:
         assert report.exceptions == [{"a": 2, "b": 2}]
         assert verify_case("F3").ok
 
+    def test_f3_judged_by_its_expected_table(self, monkeypatch):
+        # F3 is held to EXPECTED_EXCEPTIONS like the other twelve: another
+        # a = 2 exception is a failure, not a pass
+        real = verify.run_case_table
+        monkeypatch.setattr(
+            verify, "run_case_table", lambda family: dataclasses.replace(
+                real(family), exceptions=[{"a": 2, "b": 3}]))
+        r = verify_case("F3")
+        assert not r.ok
+        assert r.details["witnesses"] == [
+            {"check": "exceptional tuples", "expected": [{"a": 2, "b": 2}],
+             "got": [{"a": 2, "b": 3}]}]
+
     def test_f2_sound_sweep_disagrees_with_claimed_no_exceptions(self):
         # exact computation: F2 with a=2 satisfies every submatrix bound
         # (lambda2, lambda3, lambda4 all strictly inside their intervals,
@@ -317,20 +331,88 @@ class TestHats:
     def test_p1_at_minus2_recorded(self):
         assert verify_hats(1).details["p1_at_minus2"] == "28*a'*b'*c'"
 
+    def test_one_charpoly_rows_call_per_k(self, monkeypatch):
+        calls = []
+        real = verify.charpoly_rows
+
+        def counting(stack):
+            calls.append(len(stack))
+            return real(stack)
+
+        monkeypatch.setattr(verify, "charpoly_rows", counting)
+        for k in range(1, 6):
+            assert verify_hats(k).ok
+        assert calls == [8, 4, 4, 4, 4]
+
     def test_mutated_p_fails_determinant_check(self):
         def bad_p(k):
-            return forms.appendix_p(k) + MPoly.var("L")
+            p = forms.appendix_p(k)
+            p[(1, 0, 0, 0)] += 1  # + L
+            return p
         r = verify_hats(2, ref_p=bad_p)
         assert not r.ok
-        assert any("det" in w["check"] for w in r.details["witnesses"])
+        w = r.details["witnesses"][0]
+        assert "det" in w["check"]
+        # 5-tuple exponent keys, [derived, reference] values
+        assert w["term_diffs"] == {"(1, 0, 0, 0, 0)": [-64, -63]}
 
     def test_mutated_q_fails_quotient_check(self):
         def bad_q(k):
-            return forms.appendix_q(k) + 1
+            q = forms.appendix_q(k)
+            q[(0, 0, 0, 0)] += 1
+            return q
         r = verify_hats(3, ref_q=bad_q)
         assert not r.ok
         checks = [w["check"] for w in r.details["witnesses"]]
         assert any("q3" in c or "a'+b'" in c for c in checks)
+
+    def test_p1_at_minus2_checked_on_its_own(self):
+        # a bumped matrix with its own determinant as the reference passes
+        # the determinant check and fails the evaluation at -2
+        def bumped(k, *sizes):
+            q = forms.hat_matrix(k, *sizes)
+            q[0][0] += 1
+            return q
+
+        terms = verify._hat_terms(1, bumped)
+        r = verify_hats(1, ref_p=lambda k: dict(terms),
+                        matrix_builder=bumped)
+        assert r.details["witnesses"][0] == {
+            "check": "p1(-2) = 28*a'*b'*c'", "got": {"(1, 1, 1)": 48}}
+        assert [w["check"] for w in r.details["witnesses"][1:]] == [
+            "p1 == (-L-2)^1 * q1 at c' = 0"]
+
+    @pytest.mark.parametrize("table", ["p", "q"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_every_table_bump_fails(self, table, k):
+        # +1 on each term, and on three more exponents: (0,0,0,0),
+        # (3,1,1,0) and the a'^2 term (2,2,0,0) that no table has
+        ref = getattr(forms, f"appendix_{table}")
+        exps = sorted(ref(k).keys() | {(0, 0, 0, 0), (3, 1, 1, 0),
+                                       (2, 2, 0, 0)})
+        for exp in exps:
+            def bumped(kk, _e=exp):
+                t = ref(kk)
+                t[_e] = t.get(_e, 0) + 1
+                return t
+            r = verify_hats(k, **{f"ref_{table}": bumped})
+            assert not r.ok, exp
+            if table == "p":
+                assert r.details["witnesses"][0]["term_diffs"][
+                    str((*exp, 0))][1] == ref(k).get(exp, 0) + 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_every_hat_matrix_entry_bump_fails(self, k):
+        dim = len(forms.hat_matrix(k, *(1,) * (3 if k == 1 else 2)))
+        for i in range(dim):
+            for j in range(dim):
+                def bumped(kk, *sizes, _i=i, _j=j):
+                    q = forms.hat_matrix(kk, *sizes)
+                    q[_i][_j] += 1
+                    return q
+                r = verify_hats(k, matrix_builder=bumped)
+                assert not r.ok, (i, j)
+                assert "det" in r.details["witnesses"][0]["check"]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -370,6 +452,22 @@ class TestFgRoots:
                   for w in verify_fg_roots(3).details["witnesses"]}
         assert checks - {"T(c,c) factorization"}
 
+    @pytest.mark.parametrize("power", [0, 1, 2, 3])
+    def test_f_builder_bump_trips_both_identities(self, monkeypatch, power):
+        # f_poly and f_poly_sym come from one builder, so a fault in it
+        # reaches the symbolic identity g*f == p_cc as well
+        real = forms._build_f
+
+        def bumped(c):
+            coeffs = list(real(c))
+            coeffs[power] = coeffs[power] + 1
+            return tuple(coeffs)
+
+        monkeypatch.setattr(forms, "_build_f", bumped)
+        checks = {w["check"]
+                  for w in verify_fg_roots(3).details["witnesses"]}
+        assert {"g*f == p_cc symbolically", "T(c,c) factorization"} <= checks
+
 
 class TestRunVerifier:
     def test_dispatch(self):
@@ -385,6 +483,26 @@ class TestRunVerifier:
             run_verifier("lemma99")
         with pytest.raises(ValueError):
             run_verifier("case:H9")
+        with pytest.raises(ValueError):
+            run_verifier("hats:6")
+
+    def test_every_id_dispatches_to_its_verifier(self, monkeypatch):
+        # each id reaches the verifier of its name, with its own bound
+        seen = []
+        for name in ("verify_lemma22", "verify_interlacing_bounds",
+                     "verify_cycle_lemmas", "verify_case", "verify_hats",
+                     "verify_theorem31", "verify_fg_roots"):
+            monkeypatch.setattr(
+                verify, name,
+                lambda *args, _n=name: seen.append((_n, *args)))
+        for lemma in verify.VERIFIER_IDS:
+            run_verifier(lemma, max_ab=2, max_n=9, max_c=4)
+        assert seen == [
+            ("verify_lemma22", 2), ("verify_interlacing_bounds", 2),
+            ("verify_cycle_lemmas", 9),
+            *(("verify_case", f) for f in forms.CASE_FAMILIES),
+            *(("verify_hats", k) for k in range(1, 6)),
+            ("verify_theorem31", 2), ("verify_fg_roots", 4)]
 
 
 class TestReportSchema:
