@@ -259,12 +259,6 @@ def _connected_children(parents):
             yield Graph._unchecked(len(child), child)
 
 
-def enumerate_connected(n: int):
-    """One representative per isomorphism class of connected graphs on n
-    vertices, for 1 <= n <= 9."""
-    yield from _connected_children(_parents(n))
-
-
 # ---------------------------------------------------------------------------
 # fingerprints
 
@@ -298,12 +292,6 @@ def _fingerprints(dists) -> list[bytes]:
     """Fingerprints of a nonempty list of equal-size distance matrices, in
     input order."""
     return [_encode_coeffs(row[::-1]) for row in charpoly_rows(dists)]
-
-
-def fingerprint(g: Graph) -> bytes:
-    """Canonical byte encoding of the exact distance charpoly; equal bytes
-    iff equal polynomials, invariant under relabeling."""
-    return _fingerprints([distance_matrix(g)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +503,7 @@ def ds_verdict(a: int, b: int,
         raise ValueError(
             f"graph source has order {classes.order}, T({a},{b}) needs {n}")
     target = named_graph("T", a, b)
-    fp = fingerprint(target)
+    fp = _fingerprints([distance_matrix(target)])[0]
     members = classes.classes.get(fp, ())
     mates = [g6 for g6 in members
              if not is_isomorphic(from_graph6(g6), target)]

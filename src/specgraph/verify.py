@@ -1,12 +1,13 @@
 """Re-derivation checks: every computational claim gets recomputed from
-scratch and compared against the transcribed reference forms.
+scratch and compared against the transcribed references in
+specgraph.forms.
 
 Each verifier returns a VerificationResult whose details serialize to the
 versioned JSON report schema ({"schema": 1, "lemma", "status", "cases",
-"witnesses", ...}).  Failures always carry a concrete witness.  The
-reference providers are injectable keyword arguments so the test suite can
-prove that single-coefficient faults in any transcription are detected
-with a localized witness.
+"witnesses", ...}).  Failures always carry a concrete witness.  Every
+verifier takes only its bound, its family or k, and looks each reference
+up in forms when it runs, so a fault injected into any transcription by
+patching forms is detected with a localized witness.
 
 Every verdict is exact: root counts on an integer charpoly
 (exactpoly.root_counts) place every eigenvalue against a bound, a closed
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import groupby, product, zip_longest
 
 from . import forms
 from .exactpoly import IntPoly, charpoly_exact, charpoly_rows, root_counts
@@ -33,22 +34,6 @@ _T11_LOWS = ((1, forms.LAMBDA1_LOW), (2, forms.LAMBDA2_LOW),
              (3, forms.LAMBDA3_LOW), (4, forms.LAMBDA4_LOW))
 _UPPER_BOUNDS = ((2, forms.LAMBDA2_HIGH), (3, forms.LAMBDA3_HIGH),
                  (4, forms.LAMBDA4_HIGH))
-
-EXPECTED_EXCEPTIONS = {
-    "H1": (),
-    "H2": (),
-    "H3": ({"a": 3, "b": 4, "c": 3},),
-    "H4": (),
-    "H5": (),
-    "H6": (),
-    "H7": ({"a": 3, "b": 4, "c": 2, "d": 3, "e": 2},),
-    "P6": ({"a": 2, "b": 3, "c": 4, "d": 3, "e": 3, "f": 2},),
-    "F1": (),
-    "F2": (),  # see the F3-style a=2 structural escape; sweep disagrees
-    "F3": ({"a": 2, "b": 2},),
-    "K4": (),
-    "F4": (),
-}
 
 
 @dataclass
@@ -102,23 +87,21 @@ def _near(p: IntPoly, k: int, ref) -> bool:
 # ---------------------------------------------------------------------------
 # closed charpoly identity
 
-def verify_lemma22(max_ab: int = 8, closed_form=None) -> VerificationResult:
+def verify_lemma22(max_ab: int = 8) -> VerificationResult:
     """(-L-2)^(a+b-2) * p_ab expands to the exact BFS charpoly for every
     1 <= a,b <= max_ab (integer-exact)."""
     if max_ab < 1:
         raise ValueError("max_ab must be >= 1")
-    closed_form = closed_form or forms.tab_charpoly_closed
     witnesses = []
     for a in range(1, max_ab + 1):
         for b in range(1, max_ab + 1):
-            expanded = forms.minus_two_run(*closed_form(a, b))
+            expanded = forms.tab_charpoly_expanded(a, b)
             derived = charpoly_exact(distance_matrix(named_graph("T", a, b)))
             if expanded != derived:
                 diff = [
                     {"power": i, "closed": x, "derived": y}
-                    for i, (x, y) in enumerate(
-                        zip(list(expanded.coeffs) + [0] * 30,
-                            list(derived.coeffs) + [0] * 30))
+                    for i, (x, y) in enumerate(zip_longest(
+                        expanded.coeffs, derived.coeffs, fillvalue=0))
                     if x != y
                 ]
                 witnesses.append({"a": a, "b": b, "coefficient_diff": diff[:5]})
@@ -314,7 +297,7 @@ def verify_case(family: str) -> VerificationResult:
     pinned eigenvalue facts."""
     report = run_case_table(family)
     witnesses = []
-    expected = [dict(e) for e in EXPECTED_EXCEPTIONS[family]]
+    expected = [dict(e) for e in forms.EXPECTED_EXCEPTIONS[family]]
     if report.exceptions != expected:
         witnesses.append({"check": "exceptional tuples",
                           "expected": expected,
@@ -362,13 +345,13 @@ def _by_monomial(table: dict) -> dict:
             for mono, row in rows.items()}
 
 
-def _hat_terms(k: int, matrix_builder) -> dict:
-    """det(Q - L*I) for Q = matrix_builder(k, *sizes), as {(L, a', b',
+def _hat_terms(k: int) -> dict:
+    """det(Q - L*I) for Q = forms.hat_matrix(k, *sizes), as {(L, a', b',
     c') exponents: coefficient}, from its values at the sizes in {0, 1}."""
     m = 3 if k == 1 else 2
     corners = list(product((0, 1), repeat=m))
     values = [IntPoly(row) for row in charpoly_rows(
-        [matrix_builder(k, *sizes) for sizes in corners])]
+        [forms.hat_matrix(k, *sizes) for sizes in corners])]
     terms = {}
     for S in corners:
         e_S = IntPoly()
@@ -381,8 +364,7 @@ def _hat_terms(k: int, matrix_builder) -> dict:
     return terms
 
 
-def verify_hats(k: int, ref_p=None, ref_q=None,
-                matrix_builder=None) -> VerificationResult:
+def verify_hats(k: int) -> VerificationResult:
     """The k-hat determinant p_k = det(Q - L*I), Q the class quotient
     forms.hat_matrix, against the reference p_k term by term; then
     p_k (at c' = 0 for k = 1) = (-L-2)^{max(1, k-1)} q_k, the k=1
@@ -401,13 +383,10 @@ def verify_hats(k: int, ref_p=None, ref_q=None,
     """
     if not 1 <= k <= 5:
         raise ValueError("k in 1..5")
-    ref_p = ref_p or forms.appendix_p
-    ref_q = ref_q or forms.appendix_q
-    matrix_builder = matrix_builder or forms.hat_matrix
     witnesses = []
 
-    derived = _hat_terms(k, matrix_builder)
-    pk = ref_p(k)
+    derived = _hat_terms(k)
+    pk = forms.appendix_p(k)
     diff = {exp: [derived.get(exp, 0), pk.get(exp, 0)]
             for exp in derived.keys() | pk.keys()
             if derived.get(exp, 0) != pk.get(exp, 0)}
@@ -417,7 +396,7 @@ def verify_hats(k: int, ref_p=None, ref_q=None,
                           "term_diffs": {str((*exp, 0)): v for exp, v
                                          in sorted(diff.items())[:5]}})
 
-    p_polys, q_polys = _by_monomial(pk), _by_monomial(ref_q(k))
+    p_polys, q_polys = _by_monomial(pk), _by_monomial(forms.appendix_q(k))
     if k == 1:
         at_minus2 = {mono: p(-2) for mono, p in sorted(p_polys.items())
                      if p(-2)}

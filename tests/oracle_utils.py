@@ -1,16 +1,18 @@
 """Helpers shared by the unit and acceptance tests.
 
-Independent brute-force oracles: all edge subsets, bucketed by a cheap
+Independent brute-force oracles: all edge subsets (those whose vertex
+degrees do not increase with the label, by default), bucketed by a cheap
 invariant, deduplicated by a permutation backtracking isomorphism test;
 queue BFS distances; a bit-list graph6 encoder.
 They deliberately share no code with the canonical-augmentation generator
 they cross-check.  Also the paper's T(a,b) interval table, checked exactly
-on a characteristic polynomial.
+on a characteristic polynomial, and enumerate_connected, which reads that
+generator's output one order at a time.
 """
 
 from itertools import combinations, permutations
 
-from specgraph import forms
+from specgraph import forms, mate
 from specgraph.exactpoly import root_counts
 from specgraph.graphs import Graph
 from specgraph.verify import _TOL, _decimal, _versus
@@ -107,9 +109,13 @@ def bf_isomorphic(r1, r2, n):
     return place(0)
 
 
-def bf_class_reps(n, connected=True):
+def bf_class_reps(n, connected=True, degree_sorted=True):
     """One labeled graph (bit rows) per isomorphism class on n vertices,
-    only the connected classes unless connected is False."""
+    only the connected classes unless connected is False.  With
+    degree_sorted, only labelings whose degrees do not increase from
+    vertex 0 to vertex n-1 are tried: relabeling by decreasing degree
+    gives every class one, and the filter prunes most of the 2^(n(n-1)/2)
+    subsets before the costlier tests."""
     pairs = list(combinations(range(n), 2))
     buckets = {}
     reps = []
@@ -124,6 +130,10 @@ def bf_class_reps(n, connected=True):
                 rows[j] |= 1 << i
             b >>= 1
             idx += 1
+        if degree_sorted:
+            degs = [bin(r).count("1") for r in rows]
+            if any(x < y for x, y in zip(degs, degs[1:])):
+                continue
         if connected and not bf_connected(rows, n):
             continue
         key = bf_invariant(rows, n)
@@ -211,3 +221,9 @@ def interval_table_violations(p):
     if _versus(p, n, _decimal(forms.LAMBDA_N_HIGH) + _TOL) > 0:
         bad.append(f"lambda_n above {forms.LAMBDA_N_HIGH}")
     return bad
+
+
+def enumerate_connected(n):
+    """The built-in generator's one graph per class of connected graphs on
+    n vertices, 1 <= n <= 9."""
+    yield from mate._connected_children(mate._parents(n))

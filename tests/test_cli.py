@@ -6,11 +6,11 @@ import os
 
 import pytest
 
+from oracle_utils import enumerate_connected
 from specgraph import mate, verify
 from specgraph.cli import main, parse_graph_spec
+from specgraph.forms import EXPECTED_EXCEPTIONS
 from specgraph.graphs import Graph, named_graph, to_graph6
-from specgraph.mate import enumerate_connected
-from specgraph.verify import EXPECTED_EXCEPTIONS
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data",

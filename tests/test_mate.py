@@ -22,8 +22,6 @@ from specgraph.mate import (
     cospectral_classes_graph6,
     decode_fingerprint,
     ds_verdict,
-    enumerate_connected,
-    fingerprint,
     fingerprint_text,
 )
 
@@ -37,6 +35,7 @@ from oracle_utils import (
     bf_isomorphic as _bf_isomorphic,
     bf_lex_least,
     brute_force_connected_count,
+    enumerate_connected,
     fl_charpoly,
 )
 
@@ -54,6 +53,11 @@ def random_connected(rng, n, p=0.45):
             rows[j] |= 1 << i
         if _bf_connected(rows, n):
             return Graph(n, tuple(rows))
+
+
+def fingerprint(g):
+    """One graph's fingerprint, as ds_verdict takes T(a,b)'s."""
+    return mate._fingerprints([distance_matrix(g)])[0]
 
 
 def broom(n, d):
@@ -155,6 +159,16 @@ class TestOrderlyGenerator:
         last = sorted(bf_lex_least(g.rows, n) for g in enumerate_connected(n))
         oracle = sorted(bf_lex_least(rows, n) for rows in bf_class_reps(n))
         assert kept == last == oracle
+
+    @pytest.mark.parametrize("connected", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_degree_sorted_oracle_finds_every_class(self, n, connected):
+        # the oracle tries only labelings with non-increasing degrees;
+        # trying every labeling gives the same classes
+        def classes(degree_sorted):
+            return sorted(bf_lex_least(rows, n) for rows in bf_class_reps(
+                n, connected, degree_sorted=degree_sorted))
+        assert classes(True) == classes(False)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_pruning_keeps_the_unpruned_children(self, n):

@@ -32,15 +32,28 @@ class TestLemma22:
     def test_passes_at_1(self):
         assert verify_lemma22(1).ok
 
-    def test_mutated_constant_fails_with_witness(self):
+    def test_mutated_constant_fails_with_witness(self, monkeypatch):
         def mutated(a, b):
             exponent, reduced = forms.tab_charpoly_closed(a, b)
-            return exponent, reduced + 1
-        r = verify_lemma22(3, closed_form=mutated)
+            return forms.minus_two_run(exponent, reduced + 1)
+        monkeypatch.setattr(forms, "tab_charpoly_expanded", mutated)
+        r = verify_lemma22(3)
         assert not r.ok
         w = r.details["witnesses"][0]
         assert w["a"] == 1 and w["b"] == 1
         assert w["coefficient_diff"][0]["power"] == 0
+
+    def test_witness_past_both_degrees(self, monkeypatch):
+        # a closed form off only at L^40, far above T(1,1)'s degree 5,
+        # still names the power it differs at
+        real = forms.minus_two_run
+        monkeypatch.setattr(forms, "minus_two_run",
+                            lambda e, q: real(e, q) + IntPoly([0] * 40 + [1]))
+        r = verify_lemma22(1)
+        assert not r.ok
+        assert r.details["witnesses"] == [
+            {"a": 1, "b": 1, "coefficient_diff": [
+                {"power": 40, "closed": 1, "derived": 0}]}]
 
 
 class TestInterlacing:
@@ -251,8 +264,8 @@ class TestCaseTables:
         assert verify_case("F3").ok
 
     def test_f3_judged_by_its_expected_table(self, monkeypatch):
-        # F3 is held to EXPECTED_EXCEPTIONS like the other twelve: another
-        # a = 2 exception is a failure, not a pass
+        # F3 is held to forms.EXPECTED_EXCEPTIONS like the other twelve:
+        # another a = 2 exception is a failure, not a pass
         real = verify.run_case_table
         monkeypatch.setattr(
             verify, "run_case_table", lambda family: dataclasses.replace(
@@ -344,39 +357,48 @@ class TestHats:
             assert verify_hats(k).ok
         assert calls == [8, 4, 4, 4, 4]
 
-    def test_mutated_p_fails_determinant_check(self):
+    def test_mutated_p_fails_determinant_check(self, monkeypatch):
+        real = forms.appendix_p
+
         def bad_p(k):
-            p = forms.appendix_p(k)
+            p = real(k)
             p[(1, 0, 0, 0)] += 1  # + L
             return p
-        r = verify_hats(2, ref_p=bad_p)
+        monkeypatch.setattr(forms, "appendix_p", bad_p)
+        r = verify_hats(2)
         assert not r.ok
         w = r.details["witnesses"][0]
         assert "det" in w["check"]
         # 5-tuple exponent keys, [derived, reference] values
         assert w["term_diffs"] == {"(1, 0, 0, 0, 0)": [-64, -63]}
 
-    def test_mutated_q_fails_quotient_check(self):
+    def test_mutated_q_fails_quotient_check(self, monkeypatch):
+        real = forms.appendix_q
+
         def bad_q(k):
-            q = forms.appendix_q(k)
+            q = real(k)
             q[(0, 0, 0, 0)] += 1
             return q
-        r = verify_hats(3, ref_q=bad_q)
+        monkeypatch.setattr(forms, "appendix_q", bad_q)
+        r = verify_hats(3)
         assert not r.ok
         checks = [w["check"] for w in r.details["witnesses"]]
         assert any("q3" in c or "a'+b'" in c for c in checks)
 
-    def test_p1_at_minus2_checked_on_its_own(self):
+    def test_p1_at_minus2_checked_on_its_own(self, monkeypatch):
         # a bumped matrix with its own determinant as the reference passes
         # the determinant check and fails the evaluation at -2
+        real = forms.hat_matrix
+
         def bumped(k, *sizes):
-            q = forms.hat_matrix(k, *sizes)
+            q = real(k, *sizes)
             q[0][0] += 1
             return q
 
-        terms = verify._hat_terms(1, bumped)
-        r = verify_hats(1, ref_p=lambda k: dict(terms),
-                        matrix_builder=bumped)
+        monkeypatch.setattr(forms, "hat_matrix", bumped)
+        terms = verify._hat_terms(1)
+        monkeypatch.setattr(forms, "appendix_p", lambda k: dict(terms))
+        r = verify_hats(1)
         assert r.details["witnesses"][0] == {
             "check": "p1(-2) = 28*a'*b'*c'", "got": {"(1, 1, 1)": 48}}
         assert [w["check"] for w in r.details["witnesses"][1:]] == [
@@ -384,7 +406,7 @@ class TestHats:
 
     @pytest.mark.parametrize("table", ["p", "q"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    def test_every_table_bump_fails(self, table, k):
+    def test_every_table_bump_fails(self, monkeypatch, table, k):
         # +1 on each term, and on three more exponents: (0,0,0,0),
         # (3,1,1,0) and the a'^2 term (2,2,0,0) that no table has
         ref = getattr(forms, f"appendix_{table}")
@@ -395,22 +417,25 @@ class TestHats:
                 t = ref(kk)
                 t[_e] = t.get(_e, 0) + 1
                 return t
-            r = verify_hats(k, **{f"ref_{table}": bumped})
+            monkeypatch.setattr(forms, f"appendix_{table}", bumped)
+            r = verify_hats(k)
             assert not r.ok, exp
             if table == "p":
                 assert r.details["witnesses"][0]["term_diffs"][
                     str((*exp, 0))][1] == ref(k).get(exp, 0) + 1
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    def test_every_hat_matrix_entry_bump_fails(self, k):
-        dim = len(forms.hat_matrix(k, *(1,) * (3 if k == 1 else 2)))
+    def test_every_hat_matrix_entry_bump_fails(self, monkeypatch, k):
+        real = forms.hat_matrix
+        dim = len(real(k, *(1,) * (3 if k == 1 else 2)))
         for i in range(dim):
             for j in range(dim):
                 def bumped(kk, *sizes, _i=i, _j=j):
-                    q = forms.hat_matrix(kk, *sizes)
+                    q = real(kk, *sizes)
                     q[_i][_j] += 1
                     return q
-                r = verify_hats(k, matrix_builder=bumped)
+                monkeypatch.setattr(forms, "hat_matrix", bumped)
+                r = verify_hats(k)
                 assert not r.ok, (i, j)
                 assert "det" in r.details["witnesses"][0]["check"]
 
@@ -516,9 +541,10 @@ class TestReportSchema:
             assert json.loads(json.dumps(doc, sort_keys=True)) == json.loads(
                 json.dumps(doc, sort_keys=True))
 
-    def test_fail_results_carry_witnesses(self):
+    def test_fail_results_carry_witnesses(self, monkeypatch):
         def mutated(a, b):
             e, p = forms.tab_charpoly_closed(a, b)
-            return e, p + 1
-        r = verify_lemma22(2, closed_form=mutated)
+            return forms.minus_two_run(e, p + 1)
+        monkeypatch.setattr(forms, "tab_charpoly_expanded", mutated)
+        r = verify_lemma22(2)
         assert r.details["witnesses"]
