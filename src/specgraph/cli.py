@@ -57,8 +57,12 @@ def _jobs(text: str) -> int:
 
 def _emit(args, text: str):
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise UsageError(
+                f"cannot write {args.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 

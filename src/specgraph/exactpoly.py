@@ -1,13 +1,14 @@
 """Exact univariate polynomials and the package's one exact engine.
 
-IntPoly is a polynomial over arbitrary-precision integers, in the
-eigenvalue variable L (verify also uses it as Z[c], in the common star
-size c).  The kernels built on it are Faddeev-LeVerrier characteristic
-polynomials of stacks of integer matrices (in int64 where a proven bound
-rules out overflow, modulo word-size primes with a Chinese-remainder lift
-otherwise) and root counts above and at a rational (Descartes' rule of
-signs after a Taylor shift), the one rule by which the package places a
-root.  No floats anywhere in this module.
+IntPoly is a polynomial in the eigenvalue variable L over the
+arbitrary-precision integers, or over Z[c] when its coefficients are
+themselves IntPolys in the common star size c.  The kernels built on it
+are Faddeev-LeVerrier characteristic polynomials of stacks of integer
+matrices (in int64 where a proven bound rules out overflow, modulo
+word-size primes with a Chinese-remainder lift otherwise) and root
+counts above and at a rational (Descartes' rule of signs after a Taylor
+shift), the one rule by which the package places a root.  No floats
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -20,22 +21,26 @@ import numpy as np
 
 
 class IntPoly:
-    """Univariate integer polynomial; coeffs[i] is the L^i coefficient."""
+    """Polynomial in L; coeffs[i] is the L^i coefficient, an int or, over
+    Z[c], an IntPoly in c.  A constant IntPoly coefficient is stored as
+    its int, so equal polynomials hash equal; anything else goes through
+    int().  An IntPoly operand of +, - or * is another polynomial in L."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        c = list(coeffs)
+        c = [x if isinstance(x, IntPoly) and x.degree > 0
+             else int(x(0) if isinstance(x, IntPoly) else x) for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
-        self.coeffs = tuple(int(x) for x in c)
+        self.coeffs = tuple(c)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -98,7 +103,8 @@ class IntPoly:
         return acc
 
     def text(self) -> str:
-        """Signed terms in descending powers of L, as "-L^2 + 3*L - 1"."""
+        """Signed terms in descending powers of L, as "-L^2 + 3*L - 1";
+        int coefficients only."""
         parts = []
         for i in range(self.degree, -1, -1):
             coeff = self.coeffs[i]
@@ -115,7 +121,7 @@ class IntPoly:
         return " ".join(parts) or "0"
 
     def __repr__(self):
-        return f"IntPoly({self.text()})"
+        return f"IntPoly({list(self.coeffs)})"
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +302,7 @@ def root_counts(p: IntPoly, value) -> tuple[int, int]:
     changes (Descartes' rule of signs), which is exact when every root of
     p is real, as for the characteristic polynomial of a symmetric matrix.
     """
-    if p.is_zero():
+    if not p:
         raise ValueError("zero polynomial has no well-defined root counts")
     q = Fraction(value)
     num, den = q.numerator, q.denominator

@@ -4,10 +4,12 @@ Everything here is a *transcription*: closed-form polynomials, parametric
 distance-matrix templates for the forbidden-subgraph sweeps and their
 expected exceptional assignments, the class-distance matrices of the
 diameter-3 hat cases, and the reference p1..p5 / q1..q5 coefficient
-tables.  Nothing in this module re-derives anything; re-derivation lives
-in specgraph.verify, which checks these tables against independently
-computed determinants and BFS charpolys.  Keeping the two sides separate
-is what makes those checks meaningful.
+tables.  One entry is derived instead: H1's template, which has no free
+entries, is the BFS distance matrix of the catalog graph H1
+(_h1_entries).  Everything else is re-derived in specgraph.verify, which
+checks these tables against independently computed determinants and BFS
+charpolys.  Keeping the two sides separate is what makes those checks
+meaningful.
 """
 
 from __future__ import annotations
@@ -31,49 +33,25 @@ LAMBDA4_LOW, LAMBDA4_HIGH = -1.7304, -1.5774
 LAMBDA_N_HIGH = -5.2361
 
 
-def _build_pab(a, b) -> tuple:
-    """Coefficients of L^0..L^5 of 16+8a+8b + (40+36a+36b+8ab)L
-    + (28+44a+44b+24ab)L^2 + (2+18a+18b+12ab)L^3 + (-4+2a+2b)L^4 - L^5,
-    with a, b int or IntPoly."""
-    ab = a * b
-    return (16 + 8 * a + 8 * b,
-            40 + 36 * a + 36 * b + 8 * ab,
-            28 + 44 * a + 44 * b + 24 * ab,
-            2 + 18 * a + 18 * b + 12 * ab,
-            -4 + 2 * a + 2 * b,
-            -1)
+# the common star size c left symbolic: p_ab(C, C), f_poly(C) and
+# g_poly(C) are polynomials in L over Z[c]
+C = IntPoly([0, 1])
 
 
-def p_ab(a: int, b: int) -> IntPoly:
+def p_ab(a, b) -> IntPoly:
     """Reduced quintic factor of T(a,b)'s distance characteristic
-    polynomial."""
-    if a < 0 or b < 0:
+    polynomial, 16+8a+8b + (40+36a+36b+8ab)L + (28+44a+44b+24ab)L^2
+    + (2+18a+18b+12ab)L^3 + (-4+2a+2b)L^4 - L^5, for star sizes that are
+    ints or IntPolys in c such as C."""
+    if any(x < 0 for x in (a, b) if not isinstance(x, IntPoly)):
         raise ValueError("star sizes must be nonnegative")
-    return IntPoly(_build_pab(a, b))
-
-
-# the common star size c left symbolic: an IntPoly read as Z[c]
-_C = IntPoly([0, 1])
-
-
-def _over_zc(coeffs) -> tuple[IntPoly, ...]:
-    """A builder's L-coefficients as polynomials in c, ints as constants."""
-    return tuple(IntPoly() + x for x in coeffs)
-
-
-def p_cc_sym() -> tuple[IntPoly, ...]:
-    """p_{c,c}'s L^0..L^5 coefficients, each a polynomial in c."""
-    return _over_zc(_build_pab(_C, _C))
-
-
-def tab_charpoly_closed(a: int, b: int) -> tuple[int, IntPoly]:
-    """(exponent, reduced quintic) with the full closed form equal to
-    (-L-2)^exponent * reduced."""
-    if a < 0 or b < 0:
-        raise ValueError("star sizes must be nonnegative")
-    if a + b < 2:
-        raise ValueError("closed form needs a+b >= 2")
-    return a + b - 2, p_ab(a, b)
+    ab = a * b
+    return IntPoly([16 + 8 * a + 8 * b,
+                    40 + 36 * a + 36 * b + 8 * ab,
+                    28 + 44 * a + 44 * b + 24 * ab,
+                    2 + 18 * a + 18 * b + 12 * ab,
+                    -4 + 2 * a + 2 * b,
+                    -1])
 
 
 def minus_two_run(e: int, q: IntPoly) -> IntPoly:
@@ -82,43 +60,27 @@ def minus_two_run(e: int, q: IntPoly) -> IntPoly:
 
 
 def tab_charpoly_expanded(a: int, b: int) -> IntPoly:
-    return minus_two_run(*tab_charpoly_closed(a, b))
+    """T(a,b)'s distance characteristic polynomial in closed form,
+    (-L-2)^(a+b-2) * p_ab (Lemma 2.2); p_ab rejects negative sizes."""
+    if a + b < 2:
+        raise ValueError("closed form needs a+b >= 2")
+    return minus_two_run(a + b - 2, p_ab(a, b))
 
 
-def _build_f(c) -> tuple:
-    """Coefficients of L^0..L^3 of -L^3 + 6c L^2 + (12c+6) L + (4c+4),
-    with c int or IntPoly."""
-    return (4 * c + 4, 12 * c + 6, 6 * c, -1)
-
-
-def _build_g(c) -> tuple:
-    """Coefficients of L^0..L^2 of L^2 + (2c+4) L + 4, with c int or
-    IntPoly."""
-    return (4, 2 * c + 4, 1)
-
-
-def f_poly(c: int) -> IntPoly:
-    """-L^3 + 6c L^2 + (12c+6) L + (4c+4)."""
-    if c < 1:
+def f_poly(c) -> IntPoly:
+    """-L^3 + 6c L^2 + (12c+6) L + (4c+4), for c an int or an IntPoly in
+    c such as C."""
+    if not isinstance(c, IntPoly) and c < 1:
         raise ValueError("f is used for c >= 1")
-    return IntPoly(_build_f(c))
+    return IntPoly([4 * c + 4, 12 * c + 6, 6 * c, -1])
 
 
-def g_poly(c: int) -> IntPoly:
-    """L^2 + (2c+4) L + 4, with roots -(c+2) +- sqrt(c^2+4c)."""
-    if c < 1:
+def g_poly(c) -> IntPoly:
+    """L^2 + (2c+4) L + 4, with roots -(c+2) +- sqrt(c^2+4c), for c an
+    int or an IntPoly in c such as C."""
+    if not isinstance(c, IntPoly) and c < 1:
         raise ValueError("g is used for c >= 1")
-    return IntPoly(_build_g(c))
-
-
-def f_poly_sym() -> tuple[IntPoly, ...]:
-    """f's L^0..L^3 coefficients, each a polynomial in c."""
-    return _over_zc(_build_f(_C))
-
-
-def g_poly_sym() -> tuple[IntPoly, ...]:
-    """g's L^0..L^2 coefficients, each a polynomial in c."""
-    return _over_zc(_build_g(_C))
+    return IntPoly([4, 2 * c + 4, 1])
 
 
 def cycle_spectrum_closed(n: int) -> Spectrum:

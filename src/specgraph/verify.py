@@ -537,14 +537,12 @@ def verify_fg_roots(max_c: int = 100) -> VerificationResult:
 
     # factorization: (-L-2)^(2c-2) * g * f == charpoly(D(T(c,c))), and the
     # symbolic quintic identity g*f == p_{c,c}, over Z[c]
-    g, f = forms.g_poly_sym(), forms.f_poly_sym()
-    fg = [IntPoly()] * (len(g) + len(f) - 1)
-    for i, x in enumerate(g):
-        for j, y in enumerate(f):
-            fg[i + j] = fg[i + j] + x * y
-    if tuple(fg) != forms.p_cc_sym():
+    fg = forms.g_poly(forms.C) * forms.f_poly(forms.C)
+    if fg != forms.p_ab(forms.C, forms.C):
+        # one list of c-coefficients per power of L
         witnesses.append({"check": "g*f == p_cc symbolically",
-                          "got": [list(x.coeffs) for x in fg]})
+                          "got": [list((IntPoly() + x).coeffs)
+                                  for x in fg.coeffs]})
     for c in range(1, 7):
         closed = forms.minus_two_run(2 * c - 2,
                                      forms.g_poly(c) * forms.f_poly(c))

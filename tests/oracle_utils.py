@@ -115,25 +115,24 @@ def bf_class_reps(n, connected=True, degree_sorted=True):
     degree_sorted, only labelings whose degrees do not increase from
     vertex 0 to vertex n-1 are tried: relabeling by decreasing degree
     gives every class one, and the filter prunes most of the 2^(n(n-1)/2)
-    subsets before the costlier tests."""
+    subsets before the costlier tests.  The subsets are walked in reflected
+    Gray-code order: step s toggles the edge at the lowest set bit of s,
+    which changes two rows and two degrees."""
     pairs = list(combinations(range(n), 2))
     buckets = {}
     reps = []
-    for bits in range(1 << len(pairs)):
-        rows = [0] * n
-        b = bits
-        idx = 0
-        while b:
-            if b & 1:
-                i, j = pairs[idx]
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            b >>= 1
-            idx += 1
-        if degree_sorted:
-            degs = [bin(r).count("1") for r in rows]
-            if any(x < y for x, y in zip(degs, degs[1:])):
-                continue
+    rows = [0] * n
+    degs = [0] * n
+    for step in range(1 << len(pairs)):
+        if step:
+            i, j = pairs[(step & -step).bit_length() - 1]
+            rows[i] ^= 1 << j
+            rows[j] ^= 1 << i
+            d = 1 if rows[i] >> j & 1 else -1
+            degs[i] += d
+            degs[j] += d
+        if degree_sorted and degs != sorted(degs, reverse=True):
+            continue
         if connected and not bf_connected(rows, n):
             continue
         key = bf_invariant(rows, n)

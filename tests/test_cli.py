@@ -196,6 +196,16 @@ class TestVerify:
         doc = json.loads(target.read_text())
         assert doc["lemma"] == "cycles"
 
+    @pytest.mark.parametrize("argv", [("verify", "hats:1"),
+                                      ("mate-search", "--n", "4")])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, argv):
+        # a usage error, not a traceback with exit 1 ("a check failed")
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write")
+        assert "Traceback" not in err
+
 
 def json_mismatches(got, want, path="$", tol=1e-9):
     """Paths where two JSON documents differ: any difference in structure,

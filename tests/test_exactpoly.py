@@ -26,7 +26,7 @@ def cofactor_det(M):
         return M[0][0]
     total = IntPoly()
     for j in range(n):
-        if M[0][j].is_zero():
+        if not M[0][j]:
             continue
         minor = [row[:j] + row[j + 1:] for row in M[1:]]
         term = M[0][j] * cofactor_det(minor)
@@ -37,8 +37,9 @@ def cofactor_det(M):
 class TestIntPoly:
     def test_trim_and_degree(self):
         assert IntPoly([1, 2, 0, 0]).degree == 1
-        assert IntPoly([]).is_zero()
-        assert IntPoly([0]).is_zero()
+        assert not IntPoly([])
+        assert not IntPoly([0])
+        assert IntPoly([0, 1])
 
     def test_arith(self):
         p = IntPoly([1, 1])          # 1 + L
@@ -52,6 +53,23 @@ class TestIntPoly:
         p = IntPoly([-1, 0, 1])
         assert p(3) == 8
         assert p(Fraction(1, 2)) == Fraction(-3, 4)
+
+    def test_zc_coefficients(self):
+        # polynomials in L whose coefficients are polynomials in c
+        c = IntPoly([0, 1])
+        p, q = IntPoly([c, 1]), IntPoly([-c, 1])         # L + c, L - c
+        assert p * q == IntPoly([IntPoly([0, 0, -1]), 0, 1])  # L^2 - c^2
+        assert p + q == IntPoly([0, 2])
+        # a constant c-polynomial equals and is stored as its int
+        assert IntPoly([IntPoly([3]), c]) == IntPoly([3, c])
+        assert IntPoly([IntPoly([3]), c]).coeffs == (3, c)
+        # trailing zero c-polynomials are trimmed
+        assert IntPoly([c, IntPoly([0]), IntPoly()]).degree == 0
+        assert not p - p
+        # equal polynomials hash equal
+        assert hash(IntPoly([IntPoly([3]), c])) == hash(IntPoly([3, c]))
+        assert len({p * q, IntPoly([-c * c, 0, 1]), p}) == 2
+        assert repr(q) == "IntPoly([IntPoly([0, -1]), 1])"
 
     def test_text(self):
         assert IntPoly([-1, 0, 1]).text() == "L^2 - 1"

@@ -6,24 +6,26 @@ import pytest
 
 from oracle_utils import interval_table_violations
 
-from specgraph.exactpoly import IntPoly, charpoly_exact, charpoly_rows
+from specgraph.exactpoly import (
+    IntPoly,
+    charpoly_exact,
+    charpoly_rows,
+    root_counts,
+)
 from specgraph.forms import (
+    C,
     MatrixTemplate,
     appendix_p,
     appendix_q,
     capped_cycle_matrix,
     cycle_spectrum_closed,
     f_poly,
-    f_poly_sym,
     forbidden_template,
     g_poly,
-    g_poly_sym,
     hat_matrix,
     metric_feasible,
     minus_two_run,
     p_ab,
-    p_cc_sym,
-    tab_charpoly_closed,
     tab_charpoly_expanded,
 )
 from specgraph.graphs import distance_matrix, named_graph
@@ -53,18 +55,24 @@ class TestPab:
 
 class TestClosedCharpoly:
     def test_t11_exponent_zero(self):
-        exponent, reduced = tab_charpoly_closed(1, 1)
-        assert exponent == 0
+        # T(1,1) has no -2 run: the closed form is p_11 itself
+        reduced = p_ab(1, 1)
+        assert tab_charpoly_expanded(1, 1) == reduced
         s = eigenvalues_sym(distance_matrix(named_graph("T", 1, 1)))
         for lam in s.values:
             assert abs(reduced(lam)) < 1e-6 * 32
 
     def test_exponent(self):
-        assert tab_charpoly_closed(4, 3)[0] == 5
+        # T(4,3): exactly five roots at -2 besides p_43's
+        expanded = tab_charpoly_expanded(4, 3)
+        assert expanded == minus_two_run(5, p_ab(4, 3))
+        assert root_counts(expanded, -2)[1] == 5
+        assert root_counts(p_ab(4, 3), -2)[1] == 0
 
     def test_rejects_small(self):
-        with pytest.raises(ValueError):
-            tab_charpoly_closed(1, 0)
+        for a, b in ((1, 0), (0, 0), (-1, 5)):
+            with pytest.raises(ValueError):
+                tab_charpoly_expanded(a, b)
 
     def test_matches_exact_charpoly_full_grid(self):
         for a in range(1, 9):
@@ -87,20 +95,19 @@ class TestFG:
                 assert abs(g(root)) < 1e-9 * max(1.0, root * root)
 
     def test_quintic_identity_symbolic(self):
-        # L-coefficients over Z[c], multiplied by convolution
-        g, f = g_poly_sym(), f_poly_sym()
-        fg = [IntPoly()] * (len(g) + len(f) - 1)
-        for i, x in enumerate(g):
-            for j, y in enumerate(f):
-                fg[i + j] = fg[i + j] + x * y
-        assert tuple(fg) == p_cc_sym()
-        assert p_cc_sym()[1] == IntPoly([40, 72, 8])  # 40 + 72c + 8c^2
+        # L-coefficients over Z[c]
+        assert g_poly(C) * f_poly(C) == p_ab(C, C)
+        assert p_ab(C, C).coeffs[1] == IntPoly([40, 72, 8])  # 40 + 72c + 8c^2
 
     def test_symbolic_forms_specialize(self):
+        # each Z[c] coefficient at c gives the integer form
+        def at(p, c):
+            return IntPoly([x(c) if isinstance(x, IntPoly) else x
+                            for x in p.coeffs])
         for c in range(1, 6):
-            assert IntPoly([x(c) for x in f_poly_sym()]) == f_poly(c)
-            assert IntPoly([x(c) for x in g_poly_sym()]) == g_poly(c)
-            assert IntPoly([x(c) for x in p_cc_sym()]) == p_ab(c, c)
+            assert at(f_poly(C), c) == f_poly(c)
+            assert at(g_poly(C), c) == g_poly(c)
+            assert at(p_ab(C, C), c) == p_ab(c, c)
 
     def test_factorization_against_exact(self):
         for c in range(1, 7):

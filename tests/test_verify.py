@@ -33,10 +33,8 @@ class TestLemma22:
         assert verify_lemma22(1).ok
 
     def test_mutated_constant_fails_with_witness(self, monkeypatch):
-        def mutated(a, b):
-            exponent, reduced = forms.tab_charpoly_closed(a, b)
-            return forms.minus_two_run(exponent, reduced + 1)
-        monkeypatch.setattr(forms, "tab_charpoly_expanded", mutated)
+        real = forms.p_ab
+        monkeypatch.setattr(forms, "p_ab", lambda a, b: real(a, b) + 1)
         r = verify_lemma22(3)
         assert not r.ok
         w = r.details["witnesses"][0]
@@ -463,32 +461,36 @@ class TestFgRoots:
     def test_passes_c1_alone(self):
         assert verify_fg_roots(1).ok
 
+    def test_printed_lambda4_bound_fails_from_c_4469(self):
+        # a known deviation: f_c's least root, lambda4(T(c,c)), rises above
+        # the printed -1.5774 at c = 4469 (it tends to -1 - 1/sqrt(3));
+        # a wrong f moves this boundary
+        assert verify_fg_roots(4468).ok
+        assert verify_fg_roots(4469).details["witnesses"] == [
+            {"check": "one f root in [-1.7304, -1.5774)", "c": 4469,
+             "roots": 0}]
+
     @pytest.mark.parametrize("name,power", [
         ("f_poly", 0), ("f_poly", 1), ("f_poly", 2), ("f_poly", 3),
         ("g_poly", 0), ("g_poly", 2)])
     def test_perturbed_coefficient_misplaces_a_root(self, monkeypatch, name,
                                                     power):
-        # caught by the root counts themselves, not only by the T(c,c)
-        # factorization check beside them
+        # caught by the root counts themselves, not only by the two
+        # identity checks beside them
         original = getattr(forms, name)
         monkeypatch.setattr(
             forms, name, lambda c: original(c) + IntPoly([0] * power + [1]))
         checks = {w["check"]
                   for w in verify_fg_roots(3).details["witnesses"]}
-        assert checks - {"T(c,c) factorization"}
+        assert checks - {"g*f == p_cc symbolically", "T(c,c) factorization"}
 
     @pytest.mark.parametrize("power", [0, 1, 2, 3])
     def test_f_builder_bump_trips_both_identities(self, monkeypatch, power):
-        # f_poly and f_poly_sym come from one builder, so a fault in it
-        # reaches the symbolic identity g*f == p_cc as well
-        real = forms._build_f
-
-        def bumped(c):
-            coeffs = list(real(c))
-            coeffs[power] = coeffs[power] + 1
-            return tuple(coeffs)
-
-        monkeypatch.setattr(forms, "_build_f", bumped)
+        # f_poly builds both the integer f_c and f over Z[c], so a fault in
+        # it reaches the symbolic identity g*f == p_cc as well
+        real = forms.f_poly
+        monkeypatch.setattr(
+            forms, "f_poly", lambda c: real(c) + IntPoly([0] * power + [1]))
         checks = {w["check"]
                   for w in verify_fg_roots(3).details["witnesses"]}
         assert {"g*f == p_cc symbolically", "T(c,c) factorization"} <= checks
@@ -542,9 +544,7 @@ class TestReportSchema:
                 json.dumps(doc, sort_keys=True))
 
     def test_fail_results_carry_witnesses(self, monkeypatch):
-        def mutated(a, b):
-            e, p = forms.tab_charpoly_closed(a, b)
-            return forms.minus_two_run(e, p + 1)
-        monkeypatch.setattr(forms, "tab_charpoly_expanded", mutated)
+        real = forms.p_ab
+        monkeypatch.setattr(forms, "p_ab", lambda a, b: real(a, b) + 1)
         r = verify_lemma22(2)
         assert r.details["witnesses"]
