@@ -10,6 +10,7 @@ deterministic output modulo the timestamp field (drop it with
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -53,6 +54,22 @@ def _jobs(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"{text!r} (--jobs or SPECGRAPH_JOBS) is not an integer >= 1")
     return int(text)
+
+
+def _check_out(path: str):
+    """Raise the usage error _emit would, before any work is done, if
+    --out cannot be written; no file is created or truncated."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        code = 0 if os.access(path, os.W_OK) else errno.EACCES
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        code = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code:
+        raise UsageError(f"cannot write {path!r}: {os.strerror(code)}")
 
 
 def _emit(args, text: str):
@@ -318,6 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

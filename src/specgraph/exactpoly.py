@@ -48,7 +48,10 @@ class IntPoly:
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant hashes as the int it equals, and zero as 0
+        if len(self.coeffs) == 1:
+            return hash(self.coeffs[0])
+        return hash(self.coeffs or 0)
 
     def __neg__(self):
         return IntPoly([-c for c in self.coeffs])

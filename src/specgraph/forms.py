@@ -156,19 +156,9 @@ class MatrixTemplate:
     def n(self) -> int:
         return len(self.entries)
 
-    @property
-    def params(self) -> list[str]:
-        return sorted(self.domains)
-
-    def assignment_count(self) -> int:
-        count = 1
-        for dom in self.domains.values():
-            count *= len(dom)
-        return count
-
     def assignments(self):
         """Full Cartesian product, lexicographic in the sorted parameters."""
-        names = self.params
+        names = sorted(self.domains)
         for combo in product(*(self.domains[p] for p in names)):
             yield dict(zip(names, combo))
 
@@ -325,6 +315,12 @@ EXPECTED_EXCEPTIONS = {
     "F4": (),
 }
 CASE_FAMILIES = tuple(EXPECTED_EXCEPTIONS)
+
+# remarks on the paper's text of a case table, reported with it
+CASE_NOTES = {
+    "H6": "sweep sentence names parameters a,b,c,d but the template "
+          "carries e as well (presumed typo); all five enumerated",
+}
 
 
 def forbidden_template(family: str) -> MatrixTemplate:

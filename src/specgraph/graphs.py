@@ -140,7 +140,11 @@ def from_graph6(text: str) -> Graph:
     raw = text.rstrip("\r\n")
     if not raw:
         raise Graph6Error("empty input", 0)
-    data = raw.encode("ascii", errors="replace")
+    try:
+        data = raw.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error(f"character {raw[exc.start]!r} outside graph6 "
+                          "range 63..126", exc.start) from None
     if min(data) < 63 or max(data) > 126:
         off, byte = next((off, byte) for off, byte in enumerate(data)
                          if not 63 <= byte <= 126)

@@ -464,6 +464,7 @@ def cospectral_classes_graph6(
     order at all raises ValueError.
     """
     def chunks():
+        # an undecodable byte reads as U+FFFD, which from_graph6 rejects
         with open(path, "r", encoding="ascii", errors="replace") as fh:
             lines = enumerate(fh, 1)
             while chunk := list(islice(lines, _CHUNK)):

@@ -14,6 +14,10 @@ Every verdict is exact: root counts on an integer charpoly
 cycle value or a 4-decimal reference, the last read as its decimal text
 with PAPER_TOL of slack.  Floats from eigenvalues_sym are only reported,
 in case-table rows and in witnesses.
+
+verify_case builds a forbidden-subgraph case table and judges it in one
+pass; each row's verdict is "contradiction-confirmed", "exception" or
+"infeasible-excluded" (see verify_case).
 """
 
 from __future__ import annotations
@@ -208,32 +212,10 @@ def verify_cycle_lemmas(max_n: int = 12) -> VerificationResult:
 # ---------------------------------------------------------------------------
 # forbidden-subgraph case tables
 
-@dataclass
-class CaseReport:
-    family: str
-    rows: list[dict]
-    exceptions: list[dict]
-    enumerated: int
-    feasible: int
-    polys: list[IntPoly]  # each row's charpoly, in row order; not reported
-    note: str | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "family": self.family,
-            "enumerated": self.enumerated,
-            "feasible": self.feasible,
-            "cases": self.rows,
-            "exceptions": self.exceptions,
-        }
-        if self.note:
-            out["note"] = self.note
-        return out
-
-
-def run_case_table(family: str) -> CaseReport:
+def verify_case(family: str) -> VerificationResult:
     """Enumerate every parameter assignment of a family's matrix template,
-    classify each row, and collect the exceptional assignments.
+    classify each row, and hold the exceptional assignments to
+    forms.EXPECTED_EXCEPTIONS, plus per-family pinned eigenvalue facts.
 
     Verdicts: "contradiction-confirmed" when the spectral test rules the
     row out, "exception" when it does not and the row is metric-feasible,
@@ -248,10 +230,8 @@ def run_case_table(family: str) -> CaseReport:
     polys = [IntPoly(row) for row in charpoly_rows(matrices)]
     rows = []
     exceptions = []
-    feasible_count = 0
     for assignment, matrix, p in zip(assignments, matrices, polys):
         feasible = forms.metric_feasible(matrix)
-        feasible_count += feasible
         s = eigenvalues_sym(matrix)
         if m >= 10:
             # -2 run required at positions 5..m-1; inspect lambda_{m-1}
@@ -271,51 +251,38 @@ def run_case_table(family: str) -> CaseReport:
         verdict = ("contradiction-confirmed" if refuted
                    else "exception" if feasible else "infeasible-excluded")
         row = {
-            "assignment": dict(assignment),
+            "assignment": assignment,
             "eigenvalue": {"index": index, "value": s.nth(index)},
             "verdict": verdict,
             "feasible": feasible,
         }
         if verdict == "exception":
-            detail = dict(assignment)
             row["lambda4"] = s.nth(4)
             if m >= 5:
                 row["lambda5"] = s.nth(5)
-            exceptions.append(detail)
+            exceptions.append(assignment)
         rows.append(row)
 
-    note = None
-    if family == "H6":
-        note = ("sweep sentence names parameters a,b,c,d but the template "
-                "carries e as well (presumed typo); all five enumerated")
-    return CaseReport(family, rows, exceptions,
-                      template.assignment_count(), feasible_count, polys, note)
-
-
-def verify_case(family: str) -> VerificationResult:
-    """Case table against the expected exceptional tuples, plus per-family
-    pinned eigenvalue facts."""
-    report = run_case_table(family)
     witnesses = []
     expected = [dict(e) for e in forms.EXPECTED_EXCEPTIONS[family]]
-    if report.exceptions != expected:
+    if exceptions != expected:
         witnesses.append({"check": "exceptional tuples",
                           "expected": expected,
-                          "got": report.exceptions})
+                          "got": exceptions})
 
     if family == "H3":
-        exc = [(r, p) for r, p in zip(report.rows, report.polys)
+        exc = [(r, p) for r, p in zip(rows, polys)
                if r["verdict"] == "exception"]
         if not any(_versus(p, 4, -1) == 0 for _, p in exc):
             witnesses.append({"check": "lambda4 = -1 at the H3 exception",
                               "rows": [r for r, _ in exc]})
     if family == "K4":
-        if _versus(report.polys[0], 4, -1) != 0:
+        if _versus(polys[0], 4, -1) != 0:
             witnesses.append({"check": "lambda4(K4) = -1",
-                              "got": report.rows[0]["eigenvalue"]["value"]})
+                              "got": rows[0]["eigenvalue"]["value"]})
     if family == "F4":
-        by_a = {r["assignment"]["a"]: r for r in report.rows}
-        poly_a = dict(zip(by_a, report.polys))
+        by_a = {r["assignment"]["a"]: r for r in rows}
+        poly_a = dict(zip(by_a, polys))
         if _versus(poly_a[2], 9, -2) == 0:
             witnesses.append({"check": "a=2 fails the -2 run",
                               "row": by_a[2]})
@@ -329,7 +296,12 @@ def verify_case(family: str) -> VerificationResult:
             witnesses.append({"check": "a=3 inspected at lambda2",
                               "row": by_a[3]})
 
-    return _result(f"case:{family}", witnesses, report.to_json_dict())
+    details = {"family": family, "enumerated": len(assignments),
+               "feasible": sum(r["feasible"] for r in rows),
+               "cases": rows, "exceptions": exceptions}
+    if family in forms.CASE_NOTES:
+        details["note"] = forms.CASE_NOTES[family]
+    return _result(f"case:{family}", witnesses, details)
 
 
 # ---------------------------------------------------------------------------

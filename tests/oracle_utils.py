@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 
 from specgraph import forms, mate
 from specgraph.exactpoly import root_counts
-from specgraph.graphs import Graph
+from specgraph.graphs import Graph, distance_matrix
 from specgraph.verify import _TOL, _decimal, _versus
 
 
@@ -166,6 +166,8 @@ def bf_lex_least(rows, n):
 
 
 def random_connected(rng, n, p=0.45):
+    """A connected graph of order n, each edge drawn with probability p;
+    the edges are redrawn until the graph is connected."""
     while True:
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < p]
@@ -175,6 +177,10 @@ def random_connected(rng, n, p=0.45):
             rows[j] |= 1 << i
         if bf_connected(rows, n):
             return Graph(n, tuple(rows))
+
+
+def largest_distance(g):
+    return max(max(row) for row in distance_matrix(g))
 
 
 def fl_charpoly(matrix):

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Criterion 9 includes the
-order-9 exhaustive sweep and the n=7 brute-force count oracle, about 12 s
+order-9 exhaustive sweep and the n=7 brute-force count oracle, about 9 s
 on 2 cores (the sweep runs on every available CPU).
 
 Criterion 5's F2 sub-item is implemented verbatim and marked
@@ -109,29 +109,32 @@ def test_criterion_4_capped_cycles():
 
 def test_criterion_5_case_tables():
     with criterion(5, "forbidden case tables (except F2, see below)"):
-        h3 = verify.run_case_table("H3")
-        assert h3.exceptions == [{"a": 3, "b": 4, "c": 3}]
-        h3_row = [r for r in h3.rows if r["verdict"] == "exception"][0]
+        def case(family):
+            return verify.verify_case(family).details
+
+        h3 = case("H3")
+        assert h3["exceptions"] == [{"a": 3, "b": 4, "c": 3}]
+        h3_row = [r for r in h3["cases"] if r["verdict"] == "exception"][0]
         assert abs(h3_row["lambda4"] + 1.0) <= 1e-9
-        assert verify.run_case_table("H7").exceptions == [
+        assert case("H7")["exceptions"] == [
             {"a": 3, "b": 4, "c": 2, "d": 3, "e": 2}]
-        assert verify.run_case_table("P6").exceptions == [
+        assert case("P6")["exceptions"] == [
             {"a": 2, "b": 3, "c": 4, "d": 3, "e": 3, "f": 2}]
         for fam in ("H1", "H2", "H4", "H5", "H6", "F1"):
-            assert verify.run_case_table(fam).exceptions == [], fam
-        f3 = verify.run_case_table("F3")
-        assert f3.exceptions and all(e["a"] == 2 for e in f3.exceptions)
-        f4 = verify.run_case_table("F4")
-        assert f4.exceptions == []
-        f4_rows = {r["assignment"]["a"]: r for r in f4.rows}
+            assert case(fam)["exceptions"] == [], fam
+        f3 = case("F3")
+        assert f3["exceptions"] and all(e["a"] == 2
+                                        for e in f3["exceptions"])
+        f4 = case("F4")
+        assert f4["exceptions"] == []
+        f4_rows = {r["assignment"]["a"]: r for r in f4["cases"]}
         assert f4_rows[2]["eigenvalue"]["index"] == 9
         assert abs(f4_rows[2]["eigenvalue"]["value"] + 2.0) > 1e-6
         assert f4_rows[3]["eigenvalue"]["index"] == 2
         assert abs(f4_rows[3]["eigenvalue"]["value"]) <= 1e-9
-        k4 = verify.run_case_table("K4")
-        assert k4.exceptions == []
-        assert abs(k4.rows[0]["eigenvalue"]["value"] + 1.0) <= 1e-9
-
+        k4 = case("K4")
+        assert k4["exceptions"] == []
+        assert abs(k4["cases"][0]["eigenvalue"]["value"] + 1.0) <= 1e-9
 
 @pytest.mark.xfail(
     strict=True,
@@ -142,7 +145,7 @@ def test_criterion_5_case_tables():
            "argument, not by an eigenvalue)")
 def test_criterion_5_f2_no_exceptions_as_stated():
     with criterion(5, "F2 -> no exceptions (as stated)"):
-        assert verify.run_case_table("F2").exceptions == []
+        assert verify.verify_case("F2").details["exceptions"] == []
 
 
 def _l_polys(table):

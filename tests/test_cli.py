@@ -206,6 +206,34 @@ class TestVerify:
         assert err.startswith("error: cannot write")
         assert "Traceback" not in err
 
+    def test_unwritable_out_fails_before_the_work(self, capsys, tmp_path,
+                                                  monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("class table built for an unwritable --out")
+
+        monkeypatch.setattr(mate, "cospectral_classes_builtin", build)
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "mate-search", "--n", "8",
+                                 "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot write {str(target)!r}: "
+                       "No such file or directory\n")
+
+    def test_directory_out_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "verify", "hats:1",
+                                 "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot write {str(tmp_path)!r}: "
+                       "Is a directory\n")
+
+    def test_existing_out_untouched_by_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "it"
+        target.write_text("kept\n")
+        code, out, _ = run_cli(capsys, "verify", "lemma22", "--max-ab", "0",
+                               "--out", str(target))
+        assert (code, out) == (2, "")
+        assert target.read_text() == "kept\n"
+
 
 def json_mismatches(got, want, path="$", tol=1e-9):
     """Paths where two JSON documents differ: any difference in structure,

@@ -71,6 +71,14 @@ class TestIntPoly:
         assert len({p * q, IntPoly([-c * c, 0, 1]), p}) == 2
         assert repr(q) == "IntPoly([IntPoly([0, -1]), 1])"
 
+    def test_hash_agrees_with_int_equality(self):
+        # a constant equals its int and zero equals 0, so each hashes alike
+        assert IntPoly([3]) == 3 and hash(IntPoly([3])) == hash(3)
+        assert IntPoly() == 0 and hash(IntPoly()) == hash(0)
+        assert 3 in {IntPoly([3])} and IntPoly([3]) in {3}
+        assert 0 in {IntPoly()} and IntPoly([IntPoly([-7])]) in {-7}
+        assert {IntPoly([1, 1]): "x"}.get(1) is None
+
     def test_text(self):
         assert IntPoly([-1, 0, 1]).text() == "L^2 - 1"
         assert IntPoly([]).text() == "0"

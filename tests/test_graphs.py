@@ -6,8 +6,14 @@ from functools import cache
 from itertools import combinations
 
 import pytest
-from oracle_utils import bf_class_reps, bf_distances, bf_graph6, \
-    bf_isomorphic
+from oracle_utils import (
+    bf_class_reps,
+    bf_distances,
+    bf_graph6,
+    bf_isomorphic,
+    largest_distance,
+    random_connected,
+)
 
 from specgraph import mate
 from specgraph.graphs import (
@@ -31,21 +37,10 @@ def random_graph(n, p, rng):
     return Graph.from_edges(n, edges)
 
 
-def largest_distance(g):
-    return max(max(row) for row in distance_matrix(g))
-
-
 @cache
 def connected_graphs(n):
     """One connected graph per class of order n, as a list."""
     return [Graph(n, rows) for rows, _ in mate._level(n)]
-
-
-def random_connected_graph(n, p, rng):
-    while True:
-        g = random_graph(n, p, rng)
-        if is_connected(g):
-            return g
 
 
 class TestGraphType:
@@ -170,7 +165,7 @@ class TestDistances:
 
     def test_distance_matrix_invariants_random(self):
         rng = random.Random(2024)
-        graphs = [random_connected_graph(rng.randint(2, 10), 0.45, rng)
+        graphs = [random_connected(rng, rng.randint(2, 10), 0.45)
                   for _ in range(40)]
         graphs += [named_graph(f) for f in
                    ("H1", "H2", "H3", "H4", "H5", "H6", "H7", "F1", "F2",
@@ -238,6 +233,14 @@ class TestGraph6:
         with pytest.raises(Graph6Error):
             from_graph6("D?\x07")
 
+    def test_non_ascii_character(self):
+        # not read as "?", which would decode "Dé{" as the star "D?{"; the
+        # replacement character stands for a byte a stream could not decode
+        for text in ("Dé{", "D\ufffd{"):
+            with pytest.raises(Graph6Error) as err:
+                from_graph6(text)
+            assert err.value.offset == 1
+
     def test_error_carries_offset(self):
         with pytest.raises(Graph6Error) as err:
             from_graph6("D?\x07")
@@ -259,7 +262,7 @@ class TestGraph6:
     def test_roundtrip_random(self):
         rng = random.Random(1234)
         for _ in range(500):
-            g = random_connected_graph(rng.randint(1, 12), 0.4, rng) \
+            g = random_connected(rng, rng.randint(1, 12), 0.4) \
                 if rng.random() < 0.8 else random_graph(rng.randint(1, 12), 0.3, rng)
             assert from_graph6(to_graph6(g)) == g
 

@@ -37,22 +37,12 @@ from oracle_utils import (
     brute_force_connected_count,
     enumerate_connected,
     fl_charpoly,
+    largest_distance,
+    random_connected,
 )
 
 # all graphs on n vertices up to isomorphism (OEIS A000088)
 GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
-
-
-def random_connected(rng, n, p=0.45):
-    while True:
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if rng.random() < p]
-        rows = [0] * n
-        for i, j in edges:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        if _bf_connected(rows, n):
-            return Graph(n, tuple(rows))
 
 
 def fingerprint(g):
@@ -65,10 +55,6 @@ def broom(n, d):
     largest distance is d, and broom(n, n-1) is the path P_n."""
     edges = [(i, i + 1) for i in range(d)] + [(1, v) for v in range(d + 1, n)]
     return Graph.from_edges(n, edges)
-
-
-def largest_distance(g):
-    return max(max(row) for row in distance_matrix(g))
 
 
 class TestEnumeration:
@@ -529,6 +515,13 @@ class TestIngest:
         assert members == sorted(good)
         assert len(problems) == 1
         assert problems[0][0] == 3
+
+    def test_non_ascii_byte_is_a_diagnostic(self, tmp_path):
+        path = tmp_path / "graphs.g6"
+        path.write_bytes(b"D?{\nD\xc3{\n")
+        members, problems = read_graph6(path, 5)
+        assert members == ["D?{"]
+        assert [ln for ln, _ in problems] == [2]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "graphs.g6"

@@ -1,7 +1,7 @@
 """Verifier suite: pass status at desk bounds, witnesses on injected faults."""
 
-import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,7 +11,6 @@ from specgraph.exactpoly import IntPoly, charpoly_exact
 from specgraph.graphs import distance_matrix, named_graph
 from specgraph.spectra import Spectrum, eigenvalues_sym
 from specgraph.verify import (
-    run_case_table,
     run_verifier,
     verify_case,
     verify_cycle_lemmas,
@@ -208,101 +207,99 @@ class TestRootsIn:
 
 class TestCaseTables:
     def test_h3_exception(self):
-        report = run_case_table("H3")
-        assert report.enumerated == 12
-        assert report.exceptions == [{"a": 3, "b": 4, "c": 3}]
-        assert verify_case("H3").ok
+        r = verify_case("H3")
+        assert r.details["enumerated"] == 12
+        assert r.details["exceptions"] == [{"a": 3, "b": 4, "c": 3}]
+        assert r.ok
 
     def test_h3_exception_records_both_indices(self):
-        report = run_case_table("H3")
-        row = [r for r in report.rows if r["verdict"] == "exception"][0]
+        rows = verify_case("H3").details["cases"]
+        row = [r for r in rows if r["verdict"] == "exception"][0]
         assert abs(row["lambda4"] + 1.0) <= 1e-9
         assert abs(row["lambda5"] + 2.0) <= 1e-9
 
     def test_h7_exception(self):
-        report = run_case_table("H7")
-        assert report.exceptions == [{"a": 3, "b": 4, "c": 2, "d": 3, "e": 2}]
-        assert verify_case("H7").ok
+        r = verify_case("H7")
+        assert r.details["exceptions"] == [
+            {"a": 3, "b": 4, "c": 2, "d": 3, "e": 2}]
+        assert r.ok
 
     def test_p6_exception_and_filter(self):
-        report = run_case_table("P6")
-        assert report.enumerated == 288
-        assert report.exceptions == [
+        r = verify_case("P6")
+        assert r.details["enumerated"] == 288
+        assert r.details["exceptions"] == [
             {"a": 2, "b": 3, "c": 4, "d": 3, "e": 3, "f": 2}]
         # the unfiltered sweep hits lambda5 = -2 on four more assignments,
         # all metric-infeasible (c=5 with the side conditions broken)
-        spurious = [r for r in report.rows
-                    if r["verdict"] == "infeasible-excluded"
-                    and abs(r["eigenvalue"]["value"] + 2.0) <= 1e-9]
+        spurious = [row for row in r.details["cases"]
+                    if row["verdict"] == "infeasible-excluded"
+                    and abs(row["eigenvalue"]["value"] + 2.0) <= 1e-9]
         assert len(spurious) == 4
-        assert all(r["assignment"]["c"] == 5 for r in spurious)
-        assert verify_case("P6").ok
+        assert all(row["assignment"]["c"] == 5 for row in spurious)
+        assert r.ok
 
     def test_no_exception_families(self):
         for fam in ("H1", "H2", "H4", "H5", "H6", "F1"):
-            report = run_case_table(fam)
-            assert report.exceptions == [], fam
-            assert verify_case(fam).ok, fam
+            r = verify_case(fam)
+            assert r.details["exceptions"] == [], fam
+            assert r.ok, fam
 
     def test_enumeration_counts(self):
-        assert run_case_table("H5").enumerated == 24
-        assert run_case_table("H6").enumerated == 72
-        assert run_case_table("H7").enumerated == 48
+        assert verify_case("H5").details["enumerated"] == 24
+        assert verify_case("H6").details["enumerated"] == 72
+        assert verify_case("H7").details["enumerated"] == 48
 
     def test_h6_carries_typo_note(self):
-        assert run_case_table("H6").note is not None
-        assert run_case_table("H5").note is None
+        assert verify_case("H6").details["note"] is not None
+        assert "note" not in verify_case("H5").details
 
     def test_f3_exceptions_only_at_a2(self):
-        report = run_case_table("F3")
-        assert report.exceptions and all(
-            e["a"] == 2 for e in report.exceptions)
+        r = verify_case("F3")
+        exceptions = r.details["exceptions"]
+        assert exceptions and all(e["a"] == 2 for e in exceptions)
         # (2,3) is refuted spectrally even though its a=2; (2,2) is not
-        assert report.exceptions == [{"a": 2, "b": 2}]
-        assert verify_case("F3").ok
+        assert exceptions == [{"a": 2, "b": 2}]
+        assert r.ok
 
     def test_f3_judged_by_its_expected_table(self, monkeypatch):
         # F3 is held to forms.EXPECTED_EXCEPTIONS like the other twelve:
-        # another a = 2 exception is a failure, not a pass
-        real = verify.run_case_table
-        monkeypatch.setattr(
-            verify, "run_case_table", lambda family: dataclasses.replace(
-                real(family), exceptions=[{"a": 2, "b": 3}]))
+        # an exception list other than the expected one is a failure
+        monkeypatch.setitem(forms.EXPECTED_EXCEPTIONS, "F3",
+                            ({"a": 2, "b": 3},))
         r = verify_case("F3")
         assert not r.ok
         assert r.details["witnesses"] == [
-            {"check": "exceptional tuples", "expected": [{"a": 2, "b": 2}],
-             "got": [{"a": 2, "b": 3}]}]
+            {"check": "exceptional tuples", "expected": [{"a": 2, "b": 3}],
+             "got": [{"a": 2, "b": 2}]}]
 
     def test_f2_sound_sweep_disagrees_with_claimed_no_exceptions(self):
         # exact computation: F2 with a=2 satisfies every submatrix bound
         # (lambda2, lambda3, lambda4 all strictly inside their intervals,
         # and the -2 run is empty for m=5), so the sound sweep reports it
         # as an exception; the claimed expected list is empty
-        report = run_case_table("F2")
-        assert report.exceptions == [{"a": 2}]
         r = verify_case("F2")
+        assert r.details["exceptions"] == [{"a": 2}]
         assert not r.ok
         assert r.details["witnesses"][0]["got"] == [{"a": 2}]
 
     def test_k4(self):
-        report = run_case_table("K4")
-        assert report.enumerated == 1
-        row = report.rows[0]
+        r = verify_case("K4")
+        assert r.details["enumerated"] == 1
+        row = r.details["cases"][0]
         assert row["verdict"] == "contradiction-confirmed"
         assert row["eigenvalue"]["index"] == 4
         assert abs(row["eigenvalue"]["value"] + 1.0) <= 1e-9
-        assert verify_case("K4").ok
+        assert r.ok
 
     def test_f4(self):
-        report = run_case_table("F4")
-        assert report.exceptions == []
-        by_a = {r["assignment"]["a"]: r for r in report.rows}
+        r = verify_case("F4")
+        assert r.details["exceptions"] == []
+        by_a = {row["assignment"]["a"]: row for row in r.details["cases"]}
         assert by_a[2]["eigenvalue"]["index"] == 9
         assert abs(by_a[2]["eigenvalue"]["value"] + 2.0) > 1e-6
         assert by_a[3]["eigenvalue"]["index"] == 2
         assert abs(by_a[3]["eigenvalue"]["value"]) <= 1e-9
-        assert verify_case("F4").ok
+        assert r.ok
 
     def test_f4_a3_follows_exact_lambda2_at_the_bound(self, monkeypatch):
         # lambda2 = 0 exactly at a=3 (LAPACK gives about 1.3e-16), so a
@@ -310,7 +307,7 @@ class TestCaseTables:
         # must refute it at lambda2
         def a3_row(bound):
             monkeypatch.setattr(forms, "LAMBDA2_HIGH", bound)
-            rows = run_case_table("F4").rows
+            rows = verify_case("F4").details["cases"]
             return next(r for r in rows if r["assignment"] == {"a": 3})
 
         row = a3_row(1e-12)
@@ -321,16 +318,15 @@ class TestCaseTables:
 
     def test_rows_cover_full_product_in_order(self):
         for fam in ("H2", "H3", "F3"):
-            report = run_case_table(fam)
+            rows = verify_case(fam).details["cases"]
             t = forms.forbidden_template(fam)
-            assert len(report.rows) == t.assignment_count()
-            assignments = [tuple(r["assignment"].items())
-                           for r in report.rows]
-            assert assignments == sorted(assignments)
+            assert len(rows) == math.prod(map(len, t.domains.values()))
+            assignments = [tuple(r["assignment"].items()) for r in rows]
+            assert assignments == sorted(set(assignments))
 
     def test_feasible_counts_recorded(self):
-        report = run_case_table("P6")
-        assert 0 < report.feasible < report.enumerated
+        details = verify_case("P6").details
+        assert 0 < details["feasible"] < details["enumerated"]
 
 
 class TestHats:
