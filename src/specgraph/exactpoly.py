@@ -4,11 +4,13 @@ IntPoly is a polynomial in the eigenvalue variable L over the
 arbitrary-precision integers, or over Z[c] when its coefficients are
 themselves IntPolys in the common star size c.  The kernels built on it
 are Faddeev-LeVerrier characteristic polynomials of stacks of integer
-matrices (in int64 where a proven bound rules out overflow, modulo
-word-size primes with a Chinese-remainder lift otherwise) and root
-counts above and at a rational (Descartes' rule of signs after a Taylor
-shift), the one rule by which the package places a root.  No floats
-anywhere in this module.
+matrices (in int64 where a proven bound rules out overflow, otherwise
+modulo primes p with 2*n*p^2 < 2^53 and lifted by the Chinese remainder
+theorem) and root counts above and at a rational (Descartes' rule of
+signs after a Taylor shift), the one rule by which the package places a
+root.  The only floats are the modular batch's matrix products: BLAS
+float64 matmuls of residues, whose partial sums are non-negative
+integers below 2^53 and so exact.
 """
 
 from __future__ import annotations
@@ -129,8 +131,8 @@ class IntPoly:
 
 # ---------------------------------------------------------------------------
 # exact characteristic polynomials (one batched Faddeev-LeVerrier, in int64
-# machine words where a proven bound rules out overflow, modulo word-size
-# primes with a Chinese-remainder lift otherwise)
+# machine words where a proven bound rules out overflow, modulo primes small
+# enough for exact float64 products with a Chinese-remainder lift otherwise)
 
 def _hadamard_bounds(n: int, m: int) -> list[int]:
     """|c_{n-i}| <= C(n,i) i^{i/2} m^i for an n x n matrix whose entries
@@ -168,11 +170,12 @@ def _prime_below(q: int) -> int:
 
 @lru_cache(maxsize=64)
 def _moduli(n: int, max_entry: int):
-    """The largest primes p < 2^26 with p > n and 2*n*p^2 < 2^63, descending,
-    until their product exceeds twice the coefficient bound; with them, the
-    inverses of 1..n modulo each prime and the CRT weights."""
+    """The largest primes p > n with 2*n*p^2 < 2^53 (so p < 2^26),
+    descending, until their product exceeds twice the coefficient bound;
+    with them, the inverses of 1..n modulo each prime and the CRT
+    weights.  The 2^53 cap keeps _recurrence's float64 products exact."""
     need = 2 * max(_hadamard_bounds(n, max(max_entry, 1)))
-    p = min(2 ** 26, isqrt((2 ** 62 - 1) // n))
+    p = isqrt((2 ** 52 - 1) // n)
     primes, product = [], 1
     while product <= need:
         p = _prime_below(p)
@@ -194,8 +197,11 @@ def _recurrence(A, primes=None, inverses=None) -> np.ndarray:
     since every division by k is exact for integer matrices a remainder
     raises ArithmeticError.  Otherwise A has a leading axis of primes, the
     matrices in A[j] are reduced modulo primes[j], and each division is a
-    product with the inverse of k: entries stay below p, a shifted work
-    matrix below 2p, and a matmul below 2*n*p^2 < 2^63.
+    product with the inverse of k.  Entries stay below p and a shifted work
+    matrix below 2p, so every partial sum of a matmul is a non-negative
+    integer below 2*n*p^2 < 2^53: the product runs as a BLAS float64
+    matmul, exact in any summation order and with or without FMA, and
+    comes back to int64 for the reduction.
     """
     n = A.shape[-1]
     diag = np.arange(n)
@@ -203,12 +209,15 @@ def _recurrence(A, primes=None, inverses=None) -> np.ndarray:
     coeffs[..., n] = 1
     if primes is not None:
         p = np.array(primes, dtype=np.int64)[:, None]
+        Af = A.astype(np.float64)
     M = A.copy()
     for k in range(1, n + 1):
         if k > 1:
             M[..., diag, diag] += coeffs[..., n - k + 1, None]
-            M = A @ M
-            if primes is not None:
+            if primes is None:
+                M = A @ M
+            else:
+                M = (Af @ M).astype(np.int64)
                 M %= p[..., None, None]
         tr = -np.trace(M, axis1=-2, axis2=-1)
         if primes is None:
@@ -251,10 +260,11 @@ def charpoly_rows(stack) -> list[list[int]]:
     Every coefficient obeys |c_{n-i}| <= C(n,i) i^{i/2} m^i, m the
     matrix's largest |entry|.  The matrices whose m lets that bound rule
     out int64 overflow run as one unreduced int64 batch.  All others run
-    as one batch modulo each of the largest primes p < 2^26 with
-    2*n*p^2 < 2^63, as many as make their product exceed twice the
-    bound at the batch's largest m; the Chinese remainder theorem with
-    symmetric residues then gives every coefficient exactly.
+    as one batch modulo each of the largest primes p with 2*n*p^2 < 2^53,
+    as many as make their product exceed twice the bound at the batch's
+    largest m, with exact float64 matrix products; the Chinese remainder
+    theorem with symmetric residues then gives every coefficient
+    exactly.
     """
     A = _integer_stack(stack)
     n = A.shape[1]

@@ -25,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby, product, zip_longest
+from math import ceil, floor
 
 from . import forms
 from .exactpoly import IntPoly, charpoly_exact, charpoly_rows, root_counts
-from .graphs import distance_matrix, named_graph
+from .graphs import MAX_VERTICES, distance_matrix, named_graph
 from .spectra import PAPER_TOL, eigenvalues_sym
 
 # T(a,b)'s interval table (forms): the lower bounds it inherits from
@@ -72,6 +73,7 @@ def _decimal(t) -> Fraction:
 
 _TOL = _decimal(PAPER_TOL)
 _WINDOW = Fraction(1, 10 ** 9)  # half-width around closed cycle values
+_GRID = 2 ** 40  # window ends round outward to multiples of 1/_GRID
 
 
 def _versus(p: IntPoly, k: int, t) -> int:
@@ -93,22 +95,32 @@ def _near(p: IntPoly, k: int, ref) -> bool:
 
 def verify_lemma22(max_ab: int = 8) -> VerificationResult:
     """(-L-2)^(a+b-2) * p_ab expands to the exact BFS charpoly for every
-    1 <= a,b <= max_ab (integer-exact)."""
+    1 <= a,b <= max_ab (integer-exact), one charpoly_rows stack per order
+    a+b+3."""
     if max_ab < 1:
         raise ValueError("max_ab must be >= 1")
+    if 2 * max_ab + 3 > MAX_VERTICES:
+        raise ValueError(f"max_ab must be <= {(MAX_VERTICES - 3) // 2}: "
+                         f"T(a,b) has a+b+3 vertices, and graphs hold at "
+                         f"most {MAX_VERTICES}")
+    pairs = sorted(product(range(1, max_ab + 1), repeat=2), key=sum)
+    charpolys = {}
+    for _, group in groupby(pairs, key=sum):
+        group = list(group)
+        rows = charpoly_rows([distance_matrix(named_graph("T", a, b))
+                              for a, b in group])
+        charpolys.update(zip(group, map(IntPoly, rows)))
     witnesses = []
-    for a in range(1, max_ab + 1):
-        for b in range(1, max_ab + 1):
-            expanded = forms.tab_charpoly_expanded(a, b)
-            derived = charpoly_exact(distance_matrix(named_graph("T", a, b)))
-            if expanded != derived:
-                diff = [
-                    {"power": i, "closed": x, "derived": y}
-                    for i, (x, y) in enumerate(zip_longest(
-                        expanded.coeffs, derived.coeffs, fillvalue=0))
-                    if x != y
-                ]
-                witnesses.append({"a": a, "b": b, "coefficient_diff": diff[:5]})
+    for (a, b), derived in sorted(charpolys.items()):
+        expanded = forms.tab_charpoly_expanded(a, b)
+        if expanded != derived:
+            diff = [
+                {"power": i, "closed": x, "derived": y}
+                for i, (x, y) in enumerate(zip_longest(
+                    expanded.coeffs, derived.coeffs, fillvalue=0))
+                if x != y
+            ]
+            witnesses.append({"a": a, "b": b, "coefficient_diff": diff[:5]})
     return _result("lemma22", witnesses, {"pairs_checked": max_ab * max_ab})
 
 
@@ -159,10 +171,19 @@ def verify_interlacing_bounds(max_ab: int = 8) -> VerificationResult:
 # ---------------------------------------------------------------------------
 # cycle spectra
 
+def _window(v) -> tuple[Fraction, Fraction]:
+    """[v - 1e-9, v + 1e-9] for v read exactly, each end rounded outward to
+    a multiple of 2^-40: a Taylor shift by such a short dyadic costs less
+    than one by a denominator of 2^k * 10^9."""
+    v = Fraction(v)
+    return (Fraction(floor((v - _WINDOW) * _GRID), _GRID),
+            Fraction(ceil((v + _WINDOW) * _GRID), _GRID))
+
+
 def verify_cycle_lemmas(max_n: int = 12) -> VerificationResult:
     """Closed cycle spectra (each closed value v, read exactly, holds its
-    multiplicity of charpoly roots in [v - 1e-9, v + 1e-9], in disjoint
-    windows), the small-cycle and capped-matrix eigenvalue facts, and the
+    multiplicity of charpoly roots in its _window, and the windows are
+    disjoint), the small-cycle and capped-matrix eigenvalue facts, and the
     exact -2 multiplicity cap for n >= 8."""
     if max_n < 8:
         raise ValueError("max_n must be >= 8")
@@ -171,11 +192,11 @@ def verify_cycle_lemmas(max_n: int = 12) -> VerificationResult:
     polys = {n: charpoly_exact(d) for n, d in dm.items()}
     for n, p in polys.items():
         closed = forms.cycle_spectrum_closed(n)
-        runs = [(Fraction(v), len([*g])) for v, g in groupby(closed.values)]
+        runs = [(*_window(v), len([*g])) for v, g in groupby(closed.values)]
         if closed.n != n or any(
-                x - y <= 2 * _WINDOW for (x, _), (y, _) in zip(runs, runs[1:])
-        ) or any(_roots_in(p, v - _WINDOW, v + _WINDOW, closed=True) != k
-                 for v, k in runs):
+                lo <= hi for (lo, _, _), (_, hi, _) in zip(runs, runs[1:])
+        ) or any(_roots_in(p, lo, hi, closed=True) != k
+                 for lo, hi, k in runs):
             witnesses.append({"n": n, "closed": list(closed.values),
                               "numeric": list(eigenvalues_sym(dm[n]).values)})
 

@@ -162,6 +162,15 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and "must be >=" in err
 
+    def test_all_past_64_vertices_exit_2(self, capsys):
+        # T(31,31) would have 65 vertices; lemma22, the first verifier,
+        # refuses the bound before it computes anything
+        code, out, err = run_cli(capsys, "verify", "all", "--max-ab", "31",
+                                 "--no-timestamp")
+        assert (code, out) == (2, "")
+        assert err == ("error: lemma22: max_ab must be <= 30: T(a,b) has "
+                       "a+b+3 vertices, and graphs hold at most 64\n")
+
     def test_all_at_max_ab_1(self, capsys):
         # theorem31 has one unordered pair at max_ab 1; only F2 fails
         code, out, err = run_cli(capsys, "verify", "all", "--max-ab", "1",

@@ -182,6 +182,18 @@ class TestCharpolyRows:
         with pytest.raises(ValueError):
             charpoly_rows([[[half, 0], [0, half]]])
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 64])
+    def test_all_minus_one_is_exact_at_the_float64_bound(self, monkeypatch,
+                                                        n):
+        # every residue of -1 is p - 1, so the modular batch's float64
+        # products come closest to 2*n*p^2 here; they must stay exact up
+        # to order 64, the largest graph the package builds
+        monkeypatch.setattr(exactpoly, "_int64_safe", lambda n, m: False)
+        M = [[-1] * n for _ in range(n)]
+        want = IntPoly([0, -1]) ** (n - 1) * IntPoly([-n, -1])
+        assert tuple(want.coeffs) == fl_charpoly(M)
+        assert charpoly_rows([M]) == [list(want.coeffs)]
+
     def test_hadamard_16_meets_the_bound(self, monkeypatch):
         H = sylvester_hadamard(16)
         want = fl_charpoly(H)
@@ -223,13 +235,14 @@ class TestCharpolyRows:
             assert product == math.prod(primes)
             assert product > 2 * bound
             for j, p in enumerate(primes):
-                assert n < p < 2 ** 26 and 2 * n * p * p < 2 ** 63
+                # products of residues are exact in float64 below 2^53
+                assert n < p < 2 ** 26 and 2 * n * p * p < 2 ** 53
                 assert all(p % d for d in range(2, math.isqrt(p) + 1))
                 assert all(k * inverses[k, j, 0] % p == 1
                            for k in range(1, n + 1))
-        # past order 1024 the cap on 2*n*p^2 is the binding one
+        # the cap on 2*n*p^2 shrinks the primes as the order grows
         p = exactpoly._moduli(1100, 1)[0][0]
-        assert 2 * 1100 * p * p < 2 ** 63 and p < 2 ** 26 - 2 ** 20
+        assert 2 * 1100 * p * p < 2 ** 53 and p < 2 ** 21
 
     def test_non_integer_input_rejected(self):
         half = Fraction(1, 2)

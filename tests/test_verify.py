@@ -31,6 +31,41 @@ class TestLemma22:
     def test_passes_at_1(self):
         assert verify_lemma22(1).ok
 
+    def test_past_64_vertices_raises_before_any_charpoly(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("charpoly computed before the bound check")
+
+        monkeypatch.setattr(verify, "charpoly_rows", unreachable)
+        monkeypatch.setattr(verify, "charpoly_exact", unreachable)
+        with pytest.raises(ValueError, match="max_ab must be <= 30: "
+                                             r"T\(a,b\) has a\+b\+3 vertices"):
+            verify_lemma22(31)
+
+    def test_one_charpoly_rows_call_per_order(self, monkeypatch):
+        # orders 5..13 at max_ab 5, each stack holding every T(a,b) of
+        # its order, and each row equal to the one-matrix charpoly
+        calls = []
+        real = verify.charpoly_rows
+
+        def checking(stack):
+            rows = real(stack)
+            calls.append((len(stack[0]), len(stack)))
+            assert [IntPoly(row) for row in rows] == \
+                [charpoly_exact(d) for d in stack]
+            return rows
+
+        monkeypatch.setattr(verify, "charpoly_rows", checking)
+        assert verify_lemma22(5).ok
+        assert calls == [(n, min(n - 4, 14 - n)) for n in range(5, 14)]
+
+    def test_witnesses_in_pair_order(self, monkeypatch):
+        # stacks run by order, witnesses still come a-major, then b
+        real = forms.p_ab
+        monkeypatch.setattr(forms, "p_ab", lambda a, b: real(a, b) + 1)
+        r = verify_lemma22(3)
+        assert [(w["a"], w["b"]) for w in r.details["witnesses"]] == [
+            (a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+
     def test_mutated_constant_fails_with_witness(self, monkeypatch):
         real = forms.p_ab
         monkeypatch.setattr(forms, "p_ab", lambda a, b: real(a, b) + 1)
