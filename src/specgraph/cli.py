@@ -72,26 +72,32 @@ def _check_out(path: str):
         raise UsageError(f"cannot write {path!r}: {os.strerror(code)}")
 
 
-def _emit(args, text: str):
+def _emit(args, out):
+    """Write out, a text or a JSON document (sorted keys, indent 2), with
+    a final newline.  A document is encoded straight to the stream, so a
+    large class table is never held as one string."""
+    def write(fh):
+        if isinstance(out, str):
+            fh.write(out if out.endswith("\n") else out + "\n")
+        else:
+            json.dump(out, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                write(fh)
         except OSError as exc:
             raise UsageError(
                 f"cannot write {args.out!r}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        write(sys.stdout)
 
 
 def _stamp(doc: dict, args) -> dict:
     if not args.no_timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
     return doc
-
-
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +121,7 @@ def cmd_spectrum(args) -> int:
     if args.matrix:
         doc["distance_matrix"] = [list(row) for row in d]
     if args.format == "json":
-        _emit(args, _json_text(_stamp(doc, args)))
+        _emit(args, _stamp(doc, args))
     else:
         lines = [f"graph: {args.graph} ({g.n} vertices, "
                  f"{g.edge_count()} edges)"]
@@ -156,7 +162,7 @@ def _emit_results(args, results, aggregate: str | None) -> int:
             "status": "pass" if ok else "fail",
             "results": [r.to_json_dict() for r in results],
         }
-        _emit(args, _json_text(_stamp(doc, args)))
+        _emit(args, _stamp(doc, args))
     elif args.format == "csv":
         lines = ["lemma,status"] + [f"{r.lemma},{r.status}" for r in results]
         _emit(args, "\n".join(lines))
@@ -230,7 +236,7 @@ def cmd_mate_search(args) -> int:
             doc["input_diagnostics"] = errors
         if verdict is not None:
             doc["ds"] = verdict.to_json_dict()
-        _emit(args, _json_text(_stamp(doc, args)))
+        _emit(args, _stamp(doc, args))
     elif args.format == "csv":
         _emit(args, classes.to_csv())
     else:

@@ -4,13 +4,12 @@ IntPoly is a polynomial in the eigenvalue variable L over the
 arbitrary-precision integers, or over Z[c] when its coefficients are
 themselves IntPolys in the common star size c.  The kernels built on it
 are Faddeev-LeVerrier characteristic polynomials of stacks of integer
-matrices (in int64 where a proven bound rules out overflow, otherwise
-modulo primes p with 2*n*p^2 < 2^53 and lifted by the Chinese remainder
-theorem) and root counts above and at a rational (Descartes' rule of
-signs after a Taylor shift), the one rule by which the package places a
-root.  The only floats are the modular batch's matrix products: BLAS
-float64 matmuls of residues, whose partial sums are non-negative
-integers below 2^53 and so exact.
+matrices (in float64 with a per-matrix 2^53 certificate, otherwise modulo
+primes p with 2*n*p^2 < 2^53 and lifted by the Chinese remainder theorem)
+and root counts above and at a rational (Descartes' rule of signs after a
+Taylor shift), the one rule by which the package places a root.  The only
+floats are these two passes' BLAS float64 matrix products, whose partial
+sums are integers below 2^53 and so exact.
 """
 
 from __future__ import annotations
@@ -108,31 +107,44 @@ class IntPoly:
         return acc
 
     def text(self) -> str:
-        """Signed terms in descending powers of L, as "-L^2 + 3*L - 1";
-        int coefficients only."""
-        parts = []
-        for i in range(self.degree, -1, -1):
-            coeff = self.coeffs[i]
-            if not coeff:
-                continue
-            mono = f"L^{i}" if i > 1 else "L" if i else ""
-            mag = abs(coeff)
-            body = (str(mag) if not mono else mono if mag == 1
-                    else f"{mag}*{mono}")
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts) or "0"
+        """poly_text of the coefficients; int coefficients only."""
+        return poly_text(self.coeffs)
 
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)})"
 
 
+def poly_text(coeffs) -> str:
+    """Signed terms in descending powers of L of ascending int
+    coefficients, as "-L^2 + 3*L - 1"; "0" when every one is zero."""
+    parts = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        coeff = coeffs[i]
+        if not coeff:
+            continue
+        mono = f"L^{i}" if i > 1 else "L" if i else ""
+        mag = abs(coeff)
+        body = (str(mag) if not mono else mono if mag == 1
+                else f"{mag}*{mono}")
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(parts) or "0"
+
+
 # ---------------------------------------------------------------------------
-# exact characteristic polynomials (one batched Faddeev-LeVerrier, in int64
-# machine words where a proven bound rules out overflow, modulo primes small
-# enough for exact float64 products with a Chinese-remainder lift otherwise)
+# exact characteristic polynomials (one batched Faddeev-LeVerrier: a float64
+# pass whose products a per-matrix certificate proves exact, and for the
+# matrices it cannot certify, a pass modulo primes small enough for exact
+# float64 products with a Chinese-remainder lift)
+
+# every integer of magnitude below 2^53 is a float64, and so is every sum
+# or product of two of them whose result stays below it
+_EXACT = 2.0 ** 53
+# matrices per float64 pass, which bounds the pass's working memory
+_BLOCK = 512
+
 
 def _hadamard_bounds(n: int, m: int) -> list[int]:
     """|c_{n-i}| <= C(n,i) i^{i/2} m^i for an n x n matrix whose entries
@@ -141,23 +153,42 @@ def _hadamard_bounds(n: int, m: int) -> list[int]:
     return [comb(n, i) * (isqrt(i ** i) + 1) * m ** i for i in range(n + 1)]
 
 
-@cache
-def _int64_safe(n: int, max_entry: int) -> bool:
-    """Rigorous overflow bound for the unreduced int64 recurrence.
+def _float_pass(A) -> tuple[np.ndarray, np.ndarray]:
+    """(coeffs, exact) for a stack A (m, n, n) of int64 matrices:
+    det(L*I - A) coefficients, ascending, by Faddeev-LeVerrier in float64,
+    and a flag per matrix that its row is exact.
 
-    The k-th work matrix is A^k + c_{n-1}A^{k-1} + ... so its entries are
-    bounded by a computable sum of the coefficient bounds; the next matmul
-    amplifies by at most n*m.
+    Let S be the sum of a matrix's |entries|.  The flag holds while
+    S < 2^53 and, before each product A @ M' with M' = M + c*I,
+    S * max|M'| < 2^53.  Then every partial sum of every entry of A and of
+    A @ M', and of their traces, is an integer below 2^53: the BLAS
+    products are exact in any summation order, with or without FMA, and
+    so is M + c*I, whose rounding would first show in max|M'|.  A matrix's
+    work matrix is zeroed once its flag fails, and the pass stops when no
+    flag is left.  An exact trace of an integer matrix's k-th step is
+    divisible by k, so a remainder raises ArithmeticError.
     """
-    m = max(max_entry, 1)
-    cb = _hadamard_bounds(n, m)
-    cmax = max(cb)
-    limit = 2 ** 62
+    m, n = A.shape[0], A.shape[-1]
+    diag = np.arange(n)
+    Af = A.astype(np.float64)
+    S = np.abs(Af).sum(axis=(1, 2))
+    exact = S < _EXACT
+    M = Af.copy()
+    coeffs = np.zeros((m, n + 1))
+    coeffs[:, n] = 1
     for k in range(1, n + 1):
-        bk = sum(cb[k - j] * n ** (j - 1) * m ** j for j in range(1, k + 1))
-        if bk > limit or n * m * (bk + cmax) > limit:
-            return False
-    return True
+        if k > 1:
+            M[:, diag, diag] += coeffs[:, n - k + 1, None]
+            exact &= S * np.abs(M).max(axis=(1, 2)) < _EXACT
+            if not exact.any():
+                break
+            M[~exact] = 0
+            M = Af @ M
+        tr = -np.trace(M, axis1=1, axis2=2)
+        if np.fmod(tr, k).any():
+            raise ArithmeticError("interior division not exact")
+        coeffs[:, n - k] = tr / k
+    return coeffs, exact
 
 
 @cache
@@ -189,44 +220,31 @@ def _moduli(n: int, max_entry: int):
     return primes, inverses, weights, product
 
 
-def _recurrence(A, primes=None, inverses=None) -> np.ndarray:
-    """det(L*I - A) coefficients, ascending, of a stack A (..., n, n) of
-    int64 matrices, by Faddeev-LeVerrier.
+def _recurrence(A, primes, inverses) -> np.ndarray:
+    """det(L*I - A) coefficients, ascending, modulo each prime, by
+    Faddeev-LeVerrier, of a stack A (len(primes), ..., n, n) of int64
+    matrices whose matrices in A[j] are reduced modulo primes[j].
 
-    Unreduced when primes is None: the caller has ruled out overflow, and
-    since every division by k is exact for integer matrices a remainder
-    raises ArithmeticError.  Otherwise A has a leading axis of primes, the
-    matrices in A[j] are reduced modulo primes[j], and each division is a
-    product with the inverse of k.  Entries stay below p and a shifted work
-    matrix below 2p, so every partial sum of a matmul is a non-negative
-    integer below 2*n*p^2 < 2^53: the product runs as a BLAS float64
-    matmul, exact in any summation order and with or without FMA, and
-    comes back to int64 for the reduction.
+    Each division by k is a product with the inverse of k.  Entries stay
+    below p and a shifted work matrix below 2p, so every partial sum of a
+    matmul is a non-negative integer below 2*n*p^2 < 2^53: the product
+    runs as a BLAS float64 matmul, exact in any summation order and with
+    or without FMA, and comes back to int64 for the reduction.
     """
     n = A.shape[-1]
     diag = np.arange(n)
     coeffs = np.zeros(A.shape[:-2] + (n + 1,), dtype=np.int64)
     coeffs[..., n] = 1
-    if primes is not None:
-        p = np.array(primes, dtype=np.int64)[:, None]
-        Af = A.astype(np.float64)
+    p = np.array(primes, dtype=np.int64)[:, None]
+    Af = A.astype(np.float64)
     M = A.copy()
     for k in range(1, n + 1):
         if k > 1:
             M[..., diag, diag] += coeffs[..., n - k + 1, None]
-            if primes is None:
-                M = A @ M
-            else:
-                M = (Af @ M).astype(np.int64)
-                M %= p[..., None, None]
+            M = (Af @ M).astype(np.int64)
+            M %= p[..., None, None]
         tr = -np.trace(M, axis1=-2, axis2=-1)
-        if primes is None:
-            q = tr // k
-            if (q * k != tr).any():
-                raise ArithmeticError("interior division not exact")
-        else:
-            q = tr % p * inverses[k] % p
-        coeffs[..., n - k] = q
+        coeffs[..., n - k] = tr % p * inverses[k] % p
     return coeffs
 
 
@@ -256,41 +274,44 @@ def charpoly_rows(stack) -> list[list[int]]:
     matrix of a stack of equal-size square integer matrices, in input
     order.  Leading term is (-1)^n L^n.
 
-    One Faddeev-LeVerrier recurrence, run twice over parts of the stack.
-    Every coefficient obeys |c_{n-i}| <= C(n,i) i^{i/2} m^i, m the
-    matrix's largest |entry|.  The matrices whose m lets that bound rule
-    out int64 overflow run as one unreduced int64 batch.  All others run
-    as one batch modulo each of the largest primes p with 2*n*p^2 < 2^53,
-    as many as make their product exceed twice the bound at the batch's
-    largest m, with exact float64 matrix products; the Chinese remainder
-    theorem with symmetric residues then gives every coefficient
-    exactly.
+    One Faddeev-LeVerrier recurrence, run in two ways.  Every int64
+    matrix first runs in float64, _BLOCK matrices at a time, with a
+    per-matrix 2^53 certificate checked before every product (see
+    _float_pass); the rows it certifies are exact.  The matrices it
+    cannot certify, and every stack with an entry past int64, whose
+    |entries| sum past 2^53 at once, run as one batch modulo each of the
+    largest primes p with 2*n*p^2 < 2^53.  Every coefficient obeys
+    |c_{n-i}| <= C(n,i) i^{i/2} m^i, m a matrix's largest |entry|; the
+    batch takes as many primes as make their product exceed twice that
+    bound at its largest m, and the Chinese remainder theorem with
+    symmetric residues then gives every coefficient exactly.
     """
     A = _integer_stack(stack)
     n = A.shape[1]
     sign = -1 if n % 2 else 1
-    largest = [max(hi, -lo) for hi, lo in zip(A.max(axis=(1, 2)).tolist(),
-                                              A.min(axis=(1, 2)).tolist())]
-    safe = np.array([A.dtype == np.int64 and _int64_safe(n, m)
-                     for m in largest], dtype=bool)
     rows: list = [None] * len(A)
-    if safe.any():
-        direct = _recurrence(A if safe.all() else A[safe])
-        direct *= sign
-        for i, row in zip(np.flatnonzero(safe).tolist(), direct.tolist()):
-            rows[i] = row
-    if not safe.all():
-        where = np.flatnonzero(~safe)
+    flagged = []
+    if A.dtype == np.int64:
+        for start in range(0, len(A), _BLOCK):
+            coeffs, exact = _float_pass(A[start:start + _BLOCK])
+            coeffs *= sign
+            exact_rows = coeffs[exact].astype(np.int64).tolist()
+            for i, row in zip(np.flatnonzero(exact).tolist(), exact_rows):
+                rows[start + i] = row
+            flagged += (start + np.flatnonzero(~exact)).tolist()
+    else:
+        flagged = list(range(len(A)))
+    if flagged:
+        B = A[flagged]
         primes, inverses, weights, product = _moduli(
-            n, max(largest[i] for i in where))
-        B = A[where]
+            n, max(int(B.max()), -int(B.min())))
         residues = _recurrence(
             np.stack([B % p for p in primes]).astype(np.int64),
             primes, inverses)
         lifted = sum(w * r for w, r in zip(weights, residues.astype(object)))
         lifted %= product
         lifted = np.where(lifted > product // 2, lifted - product, lifted)
-        for i, row in zip(where.tolist(), (sign * lifted).tolist()):
+        for i, row in zip(flagged, (sign * lifted).tolist()):
             rows[i] = row
     return rows
 

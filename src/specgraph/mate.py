@@ -28,11 +28,13 @@ Cospectrality is decided exactly: the fingerprint is the coefficient
 vector of the distance characteristic polynomial, encoded degree-descending
 as length-prefixed two's-complement bytes.  Equal fingerprints therefore
 mean identical exact charpolys; no float ever touches a classing decision.
-Fingerprinting is one exactpoly.charpoly_rows call per chunk: every matrix
-whose largest entry a rigorously computed magnitude bound admits goes
-through one int64 batch, and all the others through one batch modulo
-word-size primes lifted exactly by the Chinese remainder theorem, so a few
-large-diameter graphs do not slow down the rest of their chunk.
+Fingerprinting is one exactpoly.charpoly_rows call per chunk: every
+matrix runs in float64 with a per-matrix 2^53 certificate, and the few
+that the certificate cannot cover run through one batch modulo word-size
+primes lifted exactly by the Chinese remainder theorem, so a few
+large-diameter graphs do not slow down the rest of their chunk.  The task
+that fingerprints a chunk also renders each new class's charpoly text from
+its coefficient row, so the parent only merges and sorts.
 
 Every class table runs one pipeline: a source of tasks, one worker that
 fingerprints a task's graphs a chunk at a time, and one merge in the
@@ -61,7 +63,7 @@ from functools import partial
 from itertools import islice
 from multiprocessing import get_context
 
-from .exactpoly import IntPoly, charpoly_rows
+from .exactpoly import charpoly_rows, poly_text
 from .graphs import (
     Graph,
     GraphError,
@@ -262,36 +264,14 @@ def _connected_children(parents):
 # ---------------------------------------------------------------------------
 # fingerprints
 
-def _encode_coeffs(desc) -> bytes:
+def _fingerprint(row) -> bytes:
+    """The fingerprint of an ascending charpoly row."""
     out = bytearray()
-    for c in desc:
+    for c in reversed(row):
         size = (c.bit_length() + 8) // 8
         out.append(size)
         out += c.to_bytes(size, "big", signed=True)
     return bytes(out)
-
-
-def decode_fingerprint(fp: bytes) -> tuple[int, ...]:
-    """Charpoly coefficients, degree-descending."""
-    coeffs = []
-    i = 0
-    while i < len(fp):
-        length = fp[i]
-        coeffs.append(int.from_bytes(fp[i + 1:i + 1 + length], "big",
-                                     signed=True))
-        i += 1 + length
-    return tuple(coeffs)
-
-
-def fingerprint_text(fp: bytes) -> str:
-    desc = decode_fingerprint(fp)
-    return IntPoly(tuple(reversed(desc))).text()
-
-
-def _fingerprints(dists) -> list[bytes]:
-    """Fingerprints of a nonempty list of equal-size distance matrices, in
-    input order."""
-    return [_encode_coeffs(row[::-1]) for row in charpoly_rows(dists)]
 
 
 # ---------------------------------------------------------------------------
@@ -300,18 +280,11 @@ def _fingerprints(dists) -> list[bytes]:
 @dataclass
 class CospectralClasses:
     order: int
-    classes: dict[bytes, tuple[str, ...]]
+    # fingerprint -> (charpoly text, members), in the order of the texts
+    classes: dict[bytes, tuple[str, tuple[str, ...]]]
     total: int
     # members built by canonical augmentation, so pairwise non-isomorphic
     generated: bool
-
-    def _by_charpoly(self) -> list[tuple[str, bytes, tuple[str, ...]]]:
-        """(charpoly text, fingerprint, members) per class, ordered by the
-        text, which is rendered once per class."""
-        rows = [(fingerprint_text(fp), fp, members)
-                for fp, members in self.classes.items()]
-        rows.sort(key=lambda row: row[0])
-        return rows
 
     def distinct_sizes(self) -> list[int]:
         """The number of pairwise non-isomorphic members of each class:
@@ -319,10 +292,10 @@ class CospectralClasses:
         graphs are cospectral, so only classes of two or more members need
         canonical forms."""
         if self.generated:
-            return [len(members) for members in self.classes.values()]
+            return [len(members) for _, members in self.classes.values()]
         return [len({canonical_form(from_graph6(g6)) for g6 in members})
                 if len(members) > 1 else 1
-                for members in self.classes.values()]
+                for _, members in self.classes.values()]
 
     def to_json_dict(self) -> dict:
         return {
@@ -332,13 +305,13 @@ class CospectralClasses:
             "class_count": len(self.classes),
             "classes": [
                 {"charpoly": text, "members": list(members)}
-                for text, _, members in self._by_charpoly()
+                for text, members in self.classes.values()
             ],
         }
 
     def to_csv(self) -> str:
         lines = ["fingerprint,size"]
-        for _, fp, members in self._by_charpoly():
+        for fp, (_, members) in self.classes.items():
             digest = hashlib.sha256(fp).hexdigest()[:16]
             lines.append(f"{digest},{len(members)}")
         return "\n".join(lines) + "\n"
@@ -346,8 +319,9 @@ class CospectralClasses:
 
 def _finish(order: int, acc: dict, total: int,
             generated: bool) -> CospectralClasses:
-    classes = {fp: tuple(sorted(members))
-               for fp, members in sorted(acc.items())}
+    classes = {fp: (text, tuple(sorted(members)))
+               for fp, (text, members) in sorted(acc.items(),
+                                                 key=lambda kv: kv[1][0])}
     return CospectralClasses(order, classes, total, generated)
 
 
@@ -360,15 +334,20 @@ def _pool_size(jobs: int) -> int:
 
 
 def _class_part(graphs) -> tuple[int, dict]:
-    """Graph count and fingerprint -> graph6 members of an iterable of
-    same-order graphs, fingerprinted _CHUNK at a time."""
-    part: dict[bytes, list[str]] = {}
+    """Graph count and fingerprint -> (charpoly text, graph6 members) of
+    an iterable of same-order graphs, fingerprinted _CHUNK at a time; a
+    text is rendered once, by the first member of its class."""
+    part: dict[bytes, tuple[str, list[str]]] = {}
     count = 0
     graphs = iter(graphs)
     while chunk := list(islice(graphs, _CHUNK)):
-        fps = _fingerprints([distance_matrix(g) for g in chunk])
-        for g, fp in zip(chunk, fps):
-            part.setdefault(fp, []).append(to_graph6(g))
+        rows = charpoly_rows([distance_matrix(g) for g in chunk])
+        for g, row in zip(chunk, rows):
+            fp = _fingerprint(row)
+            entry = part.get(fp)
+            if entry is None:
+                entry = part[fp] = (poly_text(row), [])
+            entry[1].append(to_graph6(g))
         count += len(chunk)
     return count, part
 
@@ -423,7 +402,7 @@ def _classify(work, tasks, jobs: int) -> tuple[int, dict, list]:
     any task split and any worker count.
     """
     jobs = _pool_size(jobs)
-    acc: dict[bytes, list[str]] = {}
+    acc: dict[bytes, tuple[str, list[str]]] = {}
     problems: list[tuple[int, str]] = []
     total = 0
     with (get_context("fork").Pool(jobs) if jobs > 1
@@ -433,8 +412,8 @@ def _classify(work, tasks, jobs: int) -> tuple[int, dict, list]:
         for count, part, found in parts:
             total += count
             problems += found
-            for fp, members in part.items():
-                acc.setdefault(fp, []).extend(members)
+            for fp, (text, members) in part.items():
+                acc.setdefault(fp, (text, []))[1].extend(members)
     return total, acc, sorted(problems)
 
 
@@ -504,8 +483,8 @@ def ds_verdict(a: int, b: int,
         raise ValueError(
             f"graph source has order {classes.order}, T({a},{b}) needs {n}")
     target = named_graph("T", a, b)
-    fp = _fingerprints([distance_matrix(target)])[0]
-    members = classes.classes.get(fp, ())
+    row = charpoly_rows([distance_matrix(target)])[0]
+    _, members = classes.classes.get(_fingerprint(row), ("", ()))
     mates = [g6 for g6 in members
              if not is_isomorphic(from_graph6(g6), target)]
     witnesses = []
@@ -520,7 +499,7 @@ def ds_verdict(a: int, b: int,
         "a": a, "b": b, "order": n,
         "total_graphs": classes.total,
         "class_size": len(members),
-        "charpoly": fingerprint_text(fp),
+        "charpoly": poly_text(row),
         "witnesses": witnesses,
     }
     expected = CONNECTED_COUNTS[n] if n < len(CONNECTED_COUNTS) else None

@@ -5,7 +5,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from specgraph import mate
+from specgraph import exactpoly, mate
+
+
+@pytest.fixture
+def force_modular(monkeypatch):
+    """force_modular() makes every matrix fail the float64 pass's
+    certificate, so that charpoly_rows sends it to the modular batch."""
+    return lambda: monkeypatch.setattr(exactpoly, "_EXACT", 0.0)
 
 
 @pytest.fixture

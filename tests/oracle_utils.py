@@ -6,14 +6,15 @@ invariant, deduplicated by a permutation backtracking isomorphism test;
 queue BFS distances; a bit-list graph6 encoder.
 They deliberately share no code with the canonical-augmentation generator
 they cross-check.  Also the paper's T(a,b) interval table, checked exactly
-on a characteristic polynomial, and enumerate_connected, which reads that
-generator's output one order at a time.
+on a characteristic polynomial; enumerate_connected, which reads that
+generator's output one order at a time; and the decoder of mate's
+fingerprints, which tests the charpoly texts the class tables carry.
 """
 
 from itertools import combinations, permutations
 
 from specgraph import forms, mate
-from specgraph.exactpoly import root_counts
+from specgraph.exactpoly import IntPoly, root_counts
 from specgraph.graphs import Graph, distance_matrix
 from specgraph.verify import _TOL, _decimal, _versus
 
@@ -232,3 +233,20 @@ def enumerate_connected(n):
     """The built-in generator's one graph per class of connected graphs on
     n vertices, 1 <= n <= 9."""
     yield from mate._connected_children(mate._parents(n))
+
+
+def decode_fingerprint(fp: bytes) -> tuple[int, ...]:
+    """Charpoly coefficients, degree-descending, of a mate fingerprint."""
+    coeffs = []
+    i = 0
+    while i < len(fp):
+        length = fp[i]
+        coeffs.append(int.from_bytes(fp[i + 1:i + 1 + length], "big",
+                                     signed=True))
+        i += 1 + length
+    return tuple(coeffs)
+
+
+def fingerprint_text(fp: bytes) -> str:
+    """The charpoly text of a mate fingerprint."""
+    return IntPoly(tuple(reversed(decode_fingerprint(fp)))).text()

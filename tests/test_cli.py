@@ -204,6 +204,10 @@ class TestVerify:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["lemma"] == "cycles"
+        # the file holds the bytes stdout gets, one newline after the JSON
+        _, out, _ = run_cli(capsys, "verify", "cycles", "--max-n", "9",
+                            "--no-timestamp")
+        assert target.read_text() == out and out.endswith("}\n")
 
     @pytest.mark.parametrize("argv", [("verify", "hats:1"),
                                       ("mate-search", "--n", "4")])

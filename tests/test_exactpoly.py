@@ -135,8 +135,8 @@ def sylvester_hadamard(order):
 
 
 class TestCharpolyRows:
-    def test_dtypes_agree_with_charpoly_exact(self, monkeypatch):
-        # the int64 batch and the modular batch, against the oracle
+    def test_dtypes_agree_with_charpoly_exact(self, force_modular):
+        # the float64 pass and the modular batch, against the oracle
         rng = random.Random(13)
         stacks = [[[[rng.randint(-5, 5) for _ in range(n)]
                     for _ in range(n)] for _ in range(8)]
@@ -145,7 +145,7 @@ class TestCharpolyRows:
         assert [charpoly_rows(stack) for stack in stacks] == want
         for stack, rows in zip(stacks, want):
             assert [list(charpoly_exact(M).coeffs) for M in stack] == rows
-        monkeypatch.setattr(exactpoly, "_int64_safe", lambda n, m: False)
+        force_modular()
         assert [charpoly_rows(stack) for stack in stacks] == want
 
     def test_rows_keep_dtype(self):
@@ -166,16 +166,21 @@ class TestCharpolyRows:
             assert tuple(charpoly_rows([M])[0]) == fl_charpoly(M)
             assert charpoly_exact(M).coeffs == fl_charpoly(M)
 
-    def test_inexact_division_raises_on_both_dtypes(self):
-        # the unreduced int64 recurrence wraps on these entries and its
-        # trace at k=3 is then not divisible by 3; the guard sends the
-        # matrix to the modular batch, which gets it right
+    def test_inexact_division_raises_on_both_dtypes(self, monkeypatch):
+        # these entries fail the certificate, so the matrix goes to the
+        # modular batch, which gets it right
         big = [[2 ** 30 + 1, 1, 0], [1, 2 ** 30, 1], [0, 1, 3]]
-        assert not exactpoly._int64_safe(3, 2 ** 30 + 1)
-        with pytest.raises(ArithmeticError):
-            exactpoly._recurrence(np.array([big], dtype=np.int64))
+        assert not exactpoly._float_pass(np.array([big]))[1].any()
         assert tuple(charpoly_rows([big])[0]) == fl_charpoly(big)
         assert charpoly_exact(big).coeffs == fl_charpoly(big)
+        # with the certificate waived the float64 products round, and the
+        # trace at k=3 is then not divisible by 3: the guard raises
+        monkeypatch.setattr(exactpoly, "_EXACT", math.inf)
+        with pytest.raises(ArithmeticError):
+            charpoly_rows([big])
+        # a stack with an entry past int64 never enters the float64 pass
+        huge = [[2 ** 70, 1], [1, 0]]
+        assert tuple(charpoly_rows([huge])[0]) == fl_charpoly(huge)
         # a half-integer diagonal, whose tr(A(A - I)) = -1/2 is not
         # divisible by 2, is refused before any arithmetic
         half = Fraction(1, 2)
@@ -183,28 +188,30 @@ class TestCharpolyRows:
             charpoly_rows([[[half, 0], [0, half]]])
 
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 64])
-    def test_all_minus_one_is_exact_at_the_float64_bound(self, monkeypatch,
-                                                        n):
+    def test_all_minus_one_is_exact_at_the_float64_bound(self,
+                                                        force_modular, n):
         # every residue of -1 is p - 1, so the modular batch's float64
         # products come closest to 2*n*p^2 here; they must stay exact up
         # to order 64, the largest graph the package builds
-        monkeypatch.setattr(exactpoly, "_int64_safe", lambda n, m: False)
+        force_modular()
         M = [[-1] * n for _ in range(n)]
         want = IntPoly([0, -1]) ** (n - 1) * IntPoly([-n, -1])
         assert tuple(want.coeffs) == fl_charpoly(M)
         assert charpoly_rows([M]) == [list(want.coeffs)]
 
-    def test_hadamard_16_meets_the_bound(self, monkeypatch):
+    def test_hadamard_16_meets_the_bound(self, force_modular):
         H = sylvester_hadamard(16)
         want = fl_charpoly(H)
         # det(H) = 16^(16/2) = 2^32 is Hadamard's bound with m = 1
         assert want[0] == 2 ** 32
         assert tuple(charpoly_rows([H])[0]) == want
-        monkeypatch.setattr(exactpoly, "_int64_safe", lambda n, m: False)
+        force_modular()
         assert tuple(charpoly_rows([H])[0]) == want
         assert charpoly_exact(H)(0) == 2 ** 32
 
     def test_mixed_stack_in_input_order_one_batch_each(self, monkeypatch):
+        # three float64 blocks of four, whose wide matrices fail the
+        # certificate and make up the one modular batch, in input order
         rng = random.Random(31)
         n = 8
         small = [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
@@ -212,19 +219,39 @@ class TestCharpolyRows:
         wide = [[[rng.randint(-2 ** 40, 2 ** 40) for _ in range(n)]
                  for _ in range(n)] for _ in range(3)]
         stack = small[:2] + wide[:1] + small[2:5] + wide[1:] + small[5:]
-        calls = []
-        real = exactpoly._recurrence
+        largest = max(abs(x) for M in wide for row in M for x in row)
+        passes, batches = [], []
+        real_pass, real_recurrence = exactpoly._float_pass, \
+            exactpoly._recurrence
 
-        def recording(A, primes=None, inverses=None):
-            calls.append((A.shape, primes))
-            return real(A, primes, inverses)
+        def recording_pass(A):
+            coeffs, exact = real_pass(A)
+            passes.append(exact.tolist())
+            return coeffs, exact
 
-        monkeypatch.setattr(exactpoly, "_recurrence", recording)
+        def recording_recurrence(A, primes, inverses):
+            batches.append((A.shape, primes))
+            assert (A[0] == np.array(wide) % primes[0]).all()
+            return real_recurrence(A, primes, inverses)
+
+        monkeypatch.setattr(exactpoly, "_BLOCK", 4)
+        monkeypatch.setattr(exactpoly, "_float_pass", recording_pass)
+        monkeypatch.setattr(exactpoly, "_recurrence", recording_recurrence)
         assert [tuple(r) for r in charpoly_rows(stack)] == \
             [fl_charpoly(M) for M in stack]
-        primes = exactpoly._moduli(n, 2 ** 40)[0]
-        assert calls == [((6, n, n), None),
-                         ((len(primes), 3, n, n), primes)]
+        primes = exactpoly._moduli(n, largest)[0]
+        assert passes == [[True, True, False, True],
+                          [True, True, False, False], [True]]
+        assert batches == [((len(primes), 3, n, n), primes)]
+
+    def test_certificate_is_load_bearing(self):
+        # without the check the float64 products round on every one of
+        # these; with it they go to the modular batch
+        rng = random.Random(37)
+        stack = [[[rng.randint(-2 ** 20, 2 ** 20) for _ in range(4)]
+                  for _ in range(4)] for _ in range(200)]
+        assert [tuple(r) for r in charpoly_rows(stack)] == \
+            [fl_charpoly(M) for M in stack]
 
     def test_moduli_conditions(self):
         # at (6, 8) one prime exceeds the bound but not twice the bound

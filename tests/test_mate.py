@@ -5,6 +5,7 @@ import json
 import random
 from itertools import combinations, islice, permutations
 
+import numpy as np
 import pytest
 
 from specgraph import exactpoly, mate
@@ -20,9 +21,7 @@ from specgraph.graphs import (
 from specgraph.mate import (
     cospectral_classes_builtin,
     cospectral_classes_graph6,
-    decode_fingerprint,
     ds_verdict,
-    fingerprint_text,
 )
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -35,7 +34,9 @@ from oracle_utils import (
     bf_isomorphic as _bf_isomorphic,
     bf_lex_least,
     brute_force_connected_count,
+    decode_fingerprint,
     enumerate_connected,
+    fingerprint_text,
     fl_charpoly,
     largest_distance,
     random_connected,
@@ -47,7 +48,7 @@ GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 def fingerprint(g):
     """One graph's fingerprint, as ds_verdict takes T(a,b)'s."""
-    return mate._fingerprints([distance_matrix(g)])[0]
+    return mate._fingerprint(charpoly_rows([distance_matrix(g)])[0])
 
 
 def broom(n, d):
@@ -250,21 +251,40 @@ class TestFingerprint:
                                      for u, v in g.edges()])
             assert fingerprint(g) == fingerprint(h)
 
-    def test_matches_exact_charpoly_path(self, monkeypatch):
-        # the int64 batch against the modular batch
+    def test_matches_exact_charpoly_path(self, force_modular):
+        # the float64 pass against the modular batch
         rng = random.Random(21)
         graphs = [random_connected(rng, rng.randint(2, 9))
                   for _ in range(40)]
         fast = [fingerprint(g) for g in graphs]
-        monkeypatch.setattr(exactpoly, "_int64_safe", lambda n, m: False)
+        force_modular()
         slow = [fingerprint(g) for g in graphs]
         assert fast == slow
 
+    def test_float_pass_equals_modular_up_to_order_8(self, force_modular):
+        # every connected graph through order 8 passes the certificate, and
+        # its float64 row equals the modular batch's
+        stacks = [np.array([distance_matrix(g)
+                            for g in enumerate_connected(n)])
+                  for n in range(1, 9)]
+        assert all(exactpoly._float_pass(dists)[1].all() for dists in stacks)
+        fast = [charpoly_rows(dists) for dists in stacks]
+        force_modular()
+        assert [charpoly_rows(dists) for dists in stacks] == fast
+
     def test_int64_guard_boundaries(self):
-        assert exactpoly._int64_safe(9, 8)
-        assert exactpoly._int64_safe(10, 5)
-        assert not exactpoly._int64_safe(10, 6)
-        assert not exactpoly._int64_safe(19, 18)
+        # where the float64 certificate stops covering distance matrices:
+        # every T(a,b) through order 25 and the path P10 pass, while P24
+        # and some T(a,b) of order 26 go to the modular batch
+        def certified(g):
+            return exactpoly._float_pass(np.array([distance_matrix(g)]))[1][0]
+
+        assert all(certified(named_graph("T", a, 22 - a))
+                   for a in range(1, 22))
+        assert certified(named_graph("P", 10))
+        assert not certified(named_graph("P", 24))
+        assert not all(certified(named_graph("T", a, 23 - a))
+                       for a in range(1, 23))
 
     def test_text(self):
         fp = fingerprint(named_graph("P", 2))
@@ -279,10 +299,10 @@ class TestFingerprint:
 
 
 class TestInt64Guard:
-    """The per-matrix path choice at the edge of the int64 bound: every
-    distance matrix is admitted at order 9, and at order 10 exactly those
-    whose largest distance is at most 5; the rest go through the modular
-    batch."""
+    """The per-matrix path choice of int64 stacks: the float64 pass where
+    its certificate holds, the modular batch elsewhere.  The order-9 and
+    order-10 distance matrices below, of largest distance 5 to 8, are all
+    certified, and both paths give their exact rows."""
 
     @staticmethod
     def order10_with_largest(target, count=6):
@@ -301,47 +321,45 @@ class TestInt64Guard:
 
     @pytest.mark.parametrize("order,largest", [(9, 8), (9, 7), (9, 6),
                                                (10, 5), (10, 6)])
-    def test_dtypes_agree_at_boundary(self, monkeypatch, order, largest):
+    def test_dtypes_agree_at_boundary(self, force_modular, order, largest):
         # the natural path and the modular batch, against the oracle
         graphs = ([broom(9, largest)] if order == 9
                   else self.order10_with_largest(largest))
         assert all(largest_distance(g) == largest for g in graphs)
-        assert exactpoly._int64_safe(order, largest) == \
-            ((order, largest) != (10, 6))
         dists = [distance_matrix(g) for g in graphs]
+        assert exactpoly._float_pass(np.array(dists))[1].all()
         want = [list(fl_charpoly(d)) for d in dists]
         assert charpoly_rows(dists) == want
         fps = [decode_fingerprint(fingerprint(g)) for g in graphs]
-        monkeypatch.setattr(exactpoly, "_int64_safe", lambda n, m: False)
+        force_modular()
         assert charpoly_rows(dists) == want
         assert [decode_fingerprint(fingerprint(g)) for g in graphs] == fps \
             == [tuple(reversed(row)) for row in want]
 
     def test_mixed_chunk_in_order_with_bigint_only_for_unsafe(
             self, monkeypatch):
-        # one int64 batch for the safe graphs, one modular batch for the
-        # unsafe ones
+        # one float64 pass over the chunk, one modular batch for exactly
+        # the matrices that fail the certificate: distance matrices of
+        # order 10 scaled by 2^20
         rng = random.Random(9)
-        safe = [random_connected(rng, 10) for _ in range(60)]
-        unsafe = [broom(10, 6), broom(10, 8), named_graph("P", 10)]
-        assert all(largest_distance(g) <= 5 for g in safe)
-        graphs = (safe[:1] + unsafe[:1] + safe[1:30] + unsafe[1:2]
-                  + safe[30:] + unsafe[2:])
+        safe = [distance_matrix(random_connected(rng, 10)) for _ in range(60)]
+        unsafe = [[[x << 20 for x in row] for row in distance_matrix(g)]
+                  for g in (broom(10, 6), broom(10, 8), named_graph("P", 10))]
+        chunk = (safe[:1] + unsafe[:1] + safe[1:30] + unsafe[1:2]
+                 + safe[30:] + unsafe[2:])
         real = exactpoly._recurrence
         calls = []
 
-        def recording(A, primes=None, inverses=None):
+        def recording(A, primes, inverses):
             calls.append((A.shape, primes))
+            assert (A[0] == np.array(unsafe) % primes[0]).all()
             return real(A, primes, inverses)
 
         monkeypatch.setattr(exactpoly, "_recurrence", recording)
-        fps = mate._fingerprints([distance_matrix(g) for g in graphs])
-        primes = exactpoly._moduli(10, 9)[0]
-        assert calls == [((60, 10, 10), None),
-                         ((len(primes), 3, 10, 10), primes)]
-        assert [decode_fingerprint(fp) for fp in fps] == [
-            tuple(reversed(fl_charpoly(distance_matrix(g))))
-            for g in graphs]
+        rows = charpoly_rows(chunk)
+        primes = exactpoly._moduli(10, 9 << 20)[0]
+        assert calls == [((len(primes), 3, 10, 10), primes)]
+        assert [tuple(row) for row in rows] == [fl_charpoly(M) for M in chunk]
 
 
 def write_graph6(path, graphs):
@@ -363,7 +381,7 @@ class TestClasses:
         cc = cospectral_classes_builtin(5)
         assert cc.order == 5
         assert cc.total == 21
-        assert sum(len(m) for m in cc.classes.values()) == 21
+        assert sum(len(m) for _, m in cc.classes.values()) == 21
 
     def test_single_graph_stream(self, tmp_path):
         cc = stream_classes(tmp_path, [named_graph("T", 1, 1)], 5)
@@ -374,7 +392,7 @@ class TestClasses:
         g = named_graph("T", 1, 1)
         cc = stream_classes(tmp_path, [g, g], 5)
         assert len(cc.classes) == 1
-        (members,) = cc.classes.values()
+        ((_, members),) = cc.classes.values()
         assert len(members) == 2
 
     def test_mixed_orders_rejected(self, tmp_path):
@@ -428,10 +446,10 @@ class TestClasses:
 
     def test_first_cospectral_mates_at_order_7(self):
         # no mates through order 6; eleven genuinely cospectral pairs at 7
-        assert all(len(m) == 1 for m in
+        assert all(len(m) == 1 for _, m in
                    cospectral_classes_builtin(6).classes.values())
         cc = cospectral_classes_builtin(7)
-        multi = {fp: m for fp, m in cc.classes.items() if len(m) > 1}
+        multi = {fp: m for fp, (_, m) in cc.classes.items() if len(m) > 1}
         assert len(multi) == 11
         for fp, members in multi.items():
             graphs = [from_graph6(g6) for g6 in members]
@@ -475,6 +493,16 @@ class TestClasses:
             # raised by the pool's feeder thread, delivered as a task result
             assert exc.traceback[-1].path.name == "pool.py"
 
+    def test_class_texts_are_their_fingerprints(self, real_pool, tmp_path):
+        # the tasks render each class's text, here from two processes; it
+        # must be its fingerprint's, and the classes come in text order
+        for cc in (cospectral_classes_builtin(7),
+                   stream_classes(tmp_path, enumerate_connected(6), 6,
+                                  jobs=2)):
+            texts = [text for text, _ in cc.classes.values()]
+            assert texts == [fingerprint_text(fp) for fp in cc.classes]
+            assert texts == sorted(texts)
+
     def test_json_shape(self):
         doc = cospectral_classes_builtin(4).to_json_dict()
         assert doc["schema"] == 1
@@ -494,7 +522,7 @@ class TestClasses:
 def read_graph6(path, order, jobs=1):
     """The sorted members and the diagnostics of a graph6 file's table."""
     classes, problems = cospectral_classes_graph6(path, order, jobs=jobs)
-    members = sorted(g6 for m in classes.classes.values() for g6 in m)
+    members = sorted(g6 for _, m in classes.classes.values() for g6 in m)
     assert classes.total == len(members)
     return members, problems
 
@@ -637,7 +665,7 @@ class TestDsVerdict:
         builtin = cospectral_classes_builtin(7)
         monkeypatch.setattr(mate, "canonical_form", no_canonical_form)
         assert builtin.distinct_sizes() == [
-            len(m) for m in builtin.classes.values()]
+            len(m) for _, m in builtin.classes.values()]
         assert max(builtin.distinct_sizes()) == 2
         # a stream's members are counted distinct by canonical forms
         g = named_graph("T", 1, 1)
