@@ -260,6 +260,9 @@ def _integer_stack(stack) -> np.ndarray:
             A = A.astype(np.int64)
         except OverflowError:
             pass
+    elif A.dtype == np.uint64 and A.size and int(A.max()) >> 63:
+        # an entry of 2^63 or more would wrap negative in int64
+        A = A.astype(object)
     elif A.dtype.kind in "biu":
         A = A.astype(np.int64, copy=False)
     else:

@@ -2,9 +2,11 @@
 
 Vertices are 0..n-1 and each adjacency row is one Python int used as a
 bitmask, so n is capped at 64.  Everything here is immutable and pure:
-graphs, BFS distance matrices, the graph6 codec and the one isomorphism
-engine, a canonical labeling search whose form decides isomorphism and
-whose automorphism generators drive generation in specgraph.mate.
+graphs, distance matrices (all n breadth-first searches grown at once as
+one n*n-bit int of balls, the levels counted in byte lanes), the graph6
+codec and the one isomorphism engine, a canonical labeling search whose
+form decides isomorphism and whose automorphism generators drive
+generation in specgraph.mate.
 
 Named families:
 
@@ -22,6 +24,7 @@ Named families:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 MAX_VERTICES = 64
@@ -305,32 +308,63 @@ def is_connected(g: Graph) -> bool:
     return _bfs_reach(g.rows, 0) == (1 << g.n) - 1
 
 
+_BITS_TO_LANES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _lanes(mask: int, spec: str) -> int:
+    """The bits of mask spread one to a byte: bit k becomes byte lane k,
+    for spec the zero-padded binary format of the mask's width."""
+    return int.from_bytes(
+        format(mask, spec).encode().translate(_BITS_TO_LANES), "big")
+
+
+@lru_cache(maxsize=MAX_VERTICES)
+def _ball_constants(n: int) -> tuple[str, int, int, int, int]:
+    """For order n: the n*n-bit format spec, the full mask, col0 (bit s*n
+    for every s), the identity (bit s*n+s) and the byte lanes of the
+    identity's complement, the k = 0 term of every distance."""
+    spec = f"0{n * n}b"
+    full = (1 << n * n) - 1
+    eye = ((1 << n * n + n) - 1) // ((1 << n + 1) - 1)
+    return spec, full, full // ((1 << n) - 1), eye, _lanes(full ^ eye, spec)
+
+
 def distance_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """All-pairs BFS distances as a tuple of int tuples.  One pass over
-    each frontier both records its vertices' level and gathers the next
-    frontier."""
+    """All-pairs distances as a tuple of int tuples, from all n
+    breadth-first searches at once.
+
+    The balls B_k(s) = {v : d(s, v) <= k} sit in one n*n-bit int, row s
+    at bits s*n .. s*n+n-1.  B_1 = I | A, and
+
+        B_{k+1} = B_k | OR_v ((B_k >> v) & col0) * rows[v],
+
+    where col0 holds bit s*n for every s: (B_k >> v) & col0 marks each
+    row s whose ball holds v, and the product drops v's neighbourhood
+    into every such row.  rows[v] < 2^n, so the shifted copies occupy
+    disjoint rows and no carry crosses into the next one.
+
+    Then d(s, v) = #{k >= 0 : v not in B_k(s)}.  Each level's complement
+    is added as one byte lane per bit (lane s*n+v), and a lane never
+    exceeds the largest distance, at most 63 < 256, so lanes never spill
+    into their neighbours.  The search stops when B is full; a level
+    that does not grow B before then means a disconnected graph.
+    """
     n = g.n
     rows = g.rows
-    dist = []
-    for s in range(n):
-        d = [0] * n
-        seen = frontier = 1 << s
-        level = 0
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                v = low.bit_length() - 1
-                d[v] = level
-                nxt |= rows[v]
-                frontier ^= low
-            level += 1
-            frontier = nxt & ~seen
-            seen |= frontier
-        if seen != (1 << n) - 1:
+    spec, full, col0, eye, acc = _ball_constants(n)
+    adjacency = 0
+    for row in reversed(rows):
+        adjacency = adjacency << n | row
+    ball = eye | adjacency
+    while ball != full:
+        acc += _lanes(full ^ ball, spec)
+        grown = ball
+        for v, row in enumerate(rows):
+            grown |= (ball >> v & col0) * row
+        if grown == ball:
             raise DisconnectedError("distance matrix requires a connected graph")
-        dist.append(tuple(d))
-    return tuple(dist)
+        ball = grown
+    return tuple(zip(*[iter(acc.to_bytes(n * n, "little"))] * n))
 
 
 # ---------------------------------------------------------------------------

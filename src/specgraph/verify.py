@@ -128,9 +128,13 @@ def verify_lemma22(max_ab: int = 8) -> VerificationResult:
 # interlacing bounds
 
 def _principal(big, small, at) -> bool:
-    """small is big's principal submatrix on the rows and columns at."""
-    return all(big[i][j] == x for i, row in zip(at, small)
-               for j, x in zip(at, row))
+    """small is big's principal submatrix on the rows and columns at.  An
+    index list whose length is not small's order is refused, so no entry
+    of small goes uncompared."""
+    return (len(at) == len(small)
+            and all(len(row) == len(at) for row in small)
+            and all(big[i][j] == x for i, row in zip(at, small)
+                    for j, x in zip(at, row)))
 
 
 def verify_interlacing_bounds(max_ab: int = 8) -> VerificationResult:

@@ -158,6 +158,23 @@ class TestCharpolyRows:
         assert all(type(c) is int for c in row)
         assert row == [-1, -(2 ** 70), 1]
 
+    def test_uint64_past_int64_is_not_wrapped(self):
+        # a uint64 stack that fits int64 keeps the int64 float pass;
+        # one with an entry of 2^63 or more goes to Python ints whole
+        top = 2 ** 64 - 1
+        for stack in (np.array([[[top]]], dtype=np.uint64), [[[top]]],
+                      np.array([[[2 ** 63, 1], [1, 0]]], dtype=np.uint64)):
+            assert exactpoly._integer_stack(stack).dtype == object
+        assert charpoly_rows(np.array([[[top]]], dtype=np.uint64)) == \
+            [[top, -1]]
+        assert charpoly_rows([[[top]]]) == [[top, -1]]
+        assert charpoly_rows(np.array([[[2 ** 63, 1], [1, 0]]],
+                                      dtype=np.uint64)) == \
+            [[-1, -(2 ** 63), 1]]
+        fits = np.array([[[2 ** 63 - 1, 1], [1, 0]]], dtype=np.uint64)
+        assert exactpoly._integer_stack(fits).dtype == np.int64
+        assert charpoly_rows(fits) == [[-1, -(2 ** 63 - 1), 1]]
+
     def test_wide_random_signed_matrices_exact(self):
         rng = random.Random(29)
         for n in (1, 2, 3, 7, 16, 30):

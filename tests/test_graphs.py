@@ -201,9 +201,37 @@ class TestDistancesAgainstOracle:
         assert distance_matrix(g) == tuple(
             map(tuple, bf_distances(g.rows, g.n)))
 
+    def test_random_connected_graphs_of_every_order_to_64(self):
+        # a random spanning tree under a random labeling, each vertex v
+        # hung from one of the w before it, plus each other edge with
+        # probability p: w = 2 gives diameters near 2n/3, p = 0.5 short
+        # ones; odd orders put n*n off a multiple of 8
+        rng = random.Random(21)
+        for n in range(9, 65):
+            for w, p in ((2, 0.0), (n, 0.05), (n, 0.5)):
+                label = rng.sample(range(n), n)
+                edges = {(label[v], label[rng.randrange(max(v - w, 0), v)])
+                         for v in range(1, n)}
+                edges |= {e for e in combinations(range(n), 2)
+                          if rng.random() < p}
+                g = Graph.from_edges(n, edges)
+                assert distance_matrix(g) == tuple(
+                    map(tuple, bf_distances(g.rows, n))), (n, p)
+
+    def test_entries_are_python_ints(self):
+        for g in (named_graph("K", 1), named_graph("P", 9),
+                  named_graph("T", 2, 3), named_graph("K", 64)):
+            d = distance_matrix(g)
+            assert type(d) is tuple
+            assert all(type(row) is tuple and len(row) == g.n for row in d)
+            assert all(type(x) is int for row in d for x in row)
+
     def test_disconnected_graphs_raise(self):
+        # P63 plus an isolated vertex: the balls stop growing only after
+        # 62 levels, when every path vertex's ball is full
         for g in (Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]),
-                  Graph(2, (0, 0)), Graph.from_edges(64, [(0, 63)])):
+                  Graph(2, (0, 0)), Graph.from_edges(64, [(0, 63)]),
+                  Graph.from_edges(64, [(i, i + 1) for i in range(62)])):
             assert bf_distances(g.rows, g.n) is None
             with pytest.raises(DisconnectedError):
                 distance_matrix(g)

@@ -31,6 +31,11 @@ class TestLemma22:
     def test_passes_at_1(self):
         assert verify_lemma22(1).ok
 
+    def test_passes_at_21(self):
+        # T(21,21) has 45 vertices, within the cap of 64; 21 is the least
+        # max_ab with 3 * max_ab + 3 > 64, so a bound on 3 * max_ab fails
+        assert verify_lemma22(21).ok
+
     def test_past_64_vertices_raises_before_any_charpoly(self, monkeypatch):
         def unreachable(*args):
             raise AssertionError("charpoly computed before the bound check")
@@ -99,6 +104,18 @@ class TestInterlacing:
     def test_rejects_empty_range(self, max_ab):
         with pytest.raises(ValueError):
             verify_interlacing_bounds(max_ab)
+
+    def test_principal_refuses_a_short_or_long_index_list(self):
+        # D(T(1,1)) is D(T(2,2)) on (0, 1, 2, 3, 5); an index list cut
+        # short or run long, and rows of the wrong length, are refused
+        big = distance_matrix(named_graph("T", 2, 2))
+        small = distance_matrix(named_graph("T", 1, 1))
+        at = (0, 1, 2, 3, 5)
+        assert verify._principal(big, small, at)
+        assert not verify._principal(big, small, at[:4])
+        assert not verify._principal(big, small, ())
+        assert not verify._principal(big, small, at + (6,))
+        assert not verify._principal(big, small[:4], at[:4])
 
     def test_witness_names(self, monkeypatch):
         # charpolys with every root far above and far below every bound,
